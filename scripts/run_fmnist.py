@@ -2,8 +2,9 @@
 """Large-scale run on FMNIST-format IDX data: 100 clients, 20 online per round.
 
 Expects the standard ubyte files (train-images-idx3-ubyte /
-train-labels-idx1-ubyte). Budget roughly an hour on a desktop CPU for the
-default 300 rounds; progress is printed as rounds complete.
+train-labels-idx1-ubyte). Budget about 4 minutes for the default 300 rounds
+(the FMNIST-shaped `wide` benchmark workload takes about 0.66-0.76 s per
+round on a 2-vCPU machine); progress is printed as rounds complete.
 """
 
 from __future__ import annotations

@@ -9,11 +9,13 @@ through their cached pseudo-gradients.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvariantError, ProtocolError
+from .errors import InvariantError, NumericalError, ProtocolError
 
 _SIMPLEX_TOL = 1e-9
 
@@ -29,24 +31,27 @@ class ParticipationLedger:
         self.last_participation: dict[int, int] = {}
         self.last_gradient: dict[int, np.ndarray] = {}
         self.last_similarity: dict[int, float] = {}
-        self._seen: set[int] = set()
+        self._rounds: dict[int, list[int]] = {}  # client -> sorted rounds it took part in
 
     @property
     def distinct_count(self) -> int:
         """Number of distinct clients that have participated so far."""
-        return len(self._seen)
+        return len(self._rounds)
 
     def record_round(self, t: int, online) -> None:
         if t in self.history:
             raise InvariantError(f"round {t} already recorded")
         members = frozenset(int(c) for c in online)
         self.history[t] = members
-        self._seen.update(members)
         for cid in members:
-            self.last_participation[cid] = t
+            rounds = self._rounds.setdefault(cid, [])
+            insort(rounds, t)
+            self.last_participation[cid] = rounds[-1]
 
-    def participated(self, client: int, r: int) -> bool:
-        return client in self.history.get(r, frozenset())
+    def participation_count(self, client: int, first: int, last: int) -> int:
+        """Number of rounds in first..last (inclusive) the client took part in."""
+        rounds = self._rounds.get(client, ())
+        return max(0, bisect_left(rounds, last + 1) - bisect_left(rounds, first))
 
     def cache_gradient(self, client: int, grad: np.ndarray) -> None:
         self.last_gradient[client] = np.array(grad, dtype=np.float64, copy=True)
@@ -66,7 +71,7 @@ class WeightAssignment:
 
     def __post_init__(self):
         total = sum(self.weights.values())
-        if any(w <= 0 for w in self.weights.values()) or abs(total - 1.0) > _SIMPLEX_TOL:
+        if not (all(w > 0 for w in self.weights.values()) and abs(total - 1.0) <= _SIMPLEX_TOL):
             raise InvariantError(f"weights leave the simplex (sum={total!r})")
         if any(not 0.0 < f <= 1.0 for f in self.frequencies.values()):
             raise InvariantError("frequencies must lie in (0, 1]")
@@ -87,8 +92,7 @@ def participation_frequency(ledger: ParticipationLedger, client: int, t: int, ta
     """
     if tau < 1:
         raise ValueError("tau must be >= 1")
-    hits = sum(1 for r in range(max(1, t - tau + 1), t + 1) if ledger.participated(client, r))
-    return hits / tau
+    return ledger.participation_count(client, max(1, t - tau + 1), t) / tau
 
 
 def _sigmoid(x: float) -> float:
@@ -98,7 +102,11 @@ def _sigmoid(x: float) -> float:
 def fairness_weights(members: list[int], frequencies: dict[int, float],
                      similarities: dict[int, float], gamma: float, k: float,
                      window_tau: int = 1) -> WeightAssignment:
-    """Normalized (1/f_i)^gamma * sigmoid(k * rho_i) over the membership."""
+    """Normalized (1/f_i)^gamma * sigmoid(k * rho_i) over the membership.
+
+    Raises NumericalError naming the client when a score or the score total
+    leaves the float range.
+    """
     if not members:
         raise ProtocolError("fairness weights need at least one member")
     if gamma < 0 or k < 0:
@@ -108,8 +116,17 @@ def fairness_weights(members: list[int], frequencies: dict[int, float],
         f = frequencies[cid]
         if f <= 0:
             raise InvariantError(f"client {cid} has non-positive frequency {f}")
-        scores[cid] = (1.0 / f) ** gamma * _sigmoid(k * similarities[cid])
+        try:
+            reward = (1.0 / f) ** gamma
+        except OverflowError:
+            raise NumericalError(f"client {cid}: (1/f)^gamma overflows at f={f!r}, "
+                                 f"gamma={gamma!r}") from None
+        scores[cid] = reward * _sigmoid(k * similarities[cid])
     total = sum(scores.values())
+    if not math.isfinite(total):
+        top = max(scores, key=scores.__getitem__)
+        raise NumericalError(f"client {top}: weight total overflows (its score is "
+                             f"{scores[top]!r}, gamma={gamma!r})")
     weights = {cid: s / total for cid, s in scores.items()}
     renorm = sum(weights.values())
     weights = {cid: w / renorm for cid, w in weights.items()}
@@ -212,6 +229,9 @@ def assemble_round(ledger: ParticipationLedger, online, fresh_gradients: dict[in
         similarities[cid] = ledger.last_similarity[cid]
         gradients[cid] = cached
 
-    assignment = fairness_weights(online + reused, frequencies, similarities, gamma, k,
-                                  window_tau=tau)
+    try:
+        assignment = fairness_weights(online + reused, frequencies, similarities, gamma, k,
+                                      window_tau=tau)
+    except NumericalError as exc:
+        raise NumericalError(f"round {t}: {exc}") from None
     return assignment, gradients

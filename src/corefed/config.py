@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -115,6 +117,17 @@ def _validate(cfg: ExperimentConfig) -> None:
     _require(cfg.eta0 > 0, "eta0 must be positive")
     _require(0.0 < cfg.lr_decay <= 1.0, "lr_decay must lie in (0, 1]")
     _require(cfg.gamma >= 0, "gamma must be non-negative")
+    # The largest window is tau = ceil(clients / online), where a member's
+    # reward (1/f)^gamma reaches tau^gamma; the weight total over at most
+    # `clients` members must stay finite.
+    largest_tau = -(-cfg.clients // cfg.resolved_online())
+    if largest_tau > 1:
+        gamma_limit = ((math.log(sys.float_info.max) - math.log(cfg.clients))
+                       / math.log(largest_tau))
+        _require(cfg.gamma <= gamma_limit,
+                 f"gamma must be at most {gamma_limit:.6g} with {cfg.clients} clients and "
+                 f"{cfg.resolved_online()} online: a window of {largest_tau} rounds "
+                 f"overflows the reward (1/f)^gamma")
     _require(cfg.k >= 0, "k must be non-negative")
     _require(0.0 <= cfg.beta <= 1.0, "beta must lie in [0,1]")
     _require(cfg.tau_c > 0, "tau_c must be positive")

@@ -31,3 +31,7 @@ class InvariantError(RuntimeError):
 
 class ClientSkipped(RuntimeError):
     """Signal that a client cannot train this round and must be dropped."""
+
+
+class NumericalError(RuntimeError):
+    """A computation left the finite float range; names the round and client."""

@@ -60,18 +60,20 @@ def evaluate_accuracy(global_params: np.ndarray, spec: ModelSpec,
                       shards: list[Shard]) -> tuple[float, dict[int, float]]:
     """Per-client argmax accuracy on test slices, plus the unweighted mean.
 
-    Clients with empty test slices are excluded from the mean. Argmax ties
-    resolve to the lowest class index.
+    All non-empty test slices go through one forward pass; hit counts are
+    split back per client. Clients with empty test slices are excluded from
+    the mean. Argmax ties resolve to the lowest class index.
     """
-    per_client = {}
-    for shard in shards:
-        if not len(shard.test):
-            continue
-        _, logits = forward(global_params, spec, Batch(shard.test.inputs, shard.test.labels))
-        predictions = logits.argmax(axis=1)
-        per_client[shard.client_id] = float(np.mean(predictions == shard.test.labels))
-    if not per_client:
+    tested = [shard for shard in shards if len(shard.test)]
+    if not tested:
         raise MeasurementError("no shard has a non-empty test slice")
+    labels = np.concatenate([shard.test.labels for shard in tested])
+    inputs = np.concatenate([shard.test.inputs for shard in tested])
+    _, logits = forward(global_params, spec, Batch(inputs, labels))
+    sizes = [len(shard.test) for shard in tested]
+    starts = np.cumsum([0, *sizes[:-1]])
+    hits = np.add.reduceat((logits.argmax(axis=1) == labels).astype(np.int64), starts)
+    per_client = {shard.client_id: float(h / n) for shard, h, n in zip(tested, hits, sizes)}
     return float(np.mean(list(per_client.values()))), per_client
 
 

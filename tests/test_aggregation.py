@@ -1,7 +1,11 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corefed.aggregation import (
     ParticipationLedger,
@@ -15,7 +19,8 @@ from corefed.aggregation import (
     reuse_gradient,
     window_length,
 )
-from corefed.errors import InvariantError, ProtocolError
+from corefed.checkpoint import load_ledger, save_ledger
+from corefed.errors import InvariantError, NumericalError, ProtocolError
 from corefed.nn import Batch, ModelSpec, backward, sgd_step
 
 
@@ -44,6 +49,16 @@ class TestLedger:
         ledger = ledger_with_history([{1}])
         with pytest.raises(InvariantError):
             ledger.record_round(1, {2})
+
+
+class TestWeightAssignment:
+    @pytest.mark.parametrize("weights", [{1: math.nan, 2: 1.0}, {1: math.nan, 2: math.nan},
+                                         {1: 0.0, 2: 1.0}])
+    def test_weights_off_the_simplex_rejected(self, weights):
+        with pytest.raises(InvariantError):
+            WeightAssignment(weights=weights, window_tau=1,
+                             frequencies={cid: 1.0 for cid in weights},
+                             similarities={cid: 0.0 for cid in weights})
 
 
 class TestWindowLength:
@@ -75,6 +90,54 @@ class TestParticipationFrequency:
     def test_rounds_before_one_are_absences(self):
         ledger = ledger_with_history([{1}])
         assert participation_frequency(ledger, 1, 1, 4) == pytest.approx(0.25)
+
+
+def brute_force_frequency(history: dict[int, set[int]], client: int, t: int, tau: int) -> float:
+    hits = sum(1 for r in range(max(1, t - tau + 1), t + 1) if client in history.get(r, set()))
+    return hits / tau
+
+
+histories = st.lists(st.sets(st.integers(1, 6), max_size=6), min_size=1, max_size=12)
+
+
+class TestWindowCountsMatchBruteForce:
+    """The bisected window count against a walk over every round of the window."""
+
+    @staticmethod
+    def assert_matches(ledger, history):
+        horizon = len(history) + 2
+        for client in range(1, 8):
+            for t in range(-1, horizon + 1):
+                for tau in range(1, horizon + 2):
+                    assert (participation_frequency(ledger, client, t, tau)
+                            == brute_force_frequency(history, client, t, tau))
+
+    @given(histories, st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_any_recording_order(self, rounds, random):
+        history = {t: members for t, members in enumerate(rounds, start=1)}
+        order = list(history)
+        random.shuffle(order)
+        ledger = ParticipationLedger()
+        for t in order:
+            ledger.record_round(t, history[t])
+        self.assert_matches(ledger, history)
+        assert ledger.distinct_count == len(set().union(*rounds))
+        assert ledger.last_participation == {
+            cid: max(t for t, members in history.items() if cid in members)
+            for cid in ledger.last_participation}
+
+    @given(histories)
+    @settings(max_examples=30, deadline=None)
+    def test_after_checkpoint_round_trip(self, rounds):
+        history = {t: members for t, members in enumerate(rounds, start=1)}
+        ledger = ledger_with_history(rounds)
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            save_ledger(ledger, root / "ledger.json", root / "gradients.bin")
+            restored = load_ledger(root / "ledger.json", root / "gradients.bin")
+        self.assert_matches(restored, history)
+        assert restored.distinct_count == ledger.distinct_count
 
 
 class TestFairnessWeights:
@@ -258,6 +321,26 @@ class TestAssembleRound:
         assert set(assignment.weights) == {1, 2}
         assert assignment.frequencies[2] == pytest.approx(0.5)
         np.testing.assert_array_equal(merged[2], [2.0])
+
+    def test_reward_overflow_names_round_and_client(self):
+        ledger = ParticipationLedger()
+        assemble_round(ledger, [1, 2, 3, 4], {c: np.array([1.0]) for c in (1, 2, 3, 4)},
+                       {c: 0.5 for c in (1, 2, 3, 4)}, t=1, gamma=0.5, k=2.0)
+        # t=2: tau = 4; client 1 has f = 1/2 (2^520 is finite), the reused
+        # clients 2-4 have f = 1/4 and 4^520 = 2^1040 overflows
+        with pytest.raises(NumericalError, match=r"round 2: client 2\b"):
+            assemble_round(ledger, [1], {1: np.array([1.0])}, {1: 0.5},
+                           t=2, gamma=520.0, k=2.0)
+
+    def test_weight_total_overflow_names_round(self):
+        ledger = ParticipationLedger()
+        assemble_round(ledger, [1, 2, 3], {c: np.array([1.0]) for c in (1, 2, 3)},
+                       {c: 0.5 for c in (1, 2, 3)}, t=1, gamma=0.5, k=2.0)
+        # t=2: tau = 3; clients 2 and 3 each score about 3^645.5 (1.4e308,
+        # finite), and their sum overflows
+        with pytest.raises(NumericalError, match=r"round 2: client [23]\b"):
+            assemble_round(ledger, [1], {1: np.array([1.0])}, {1: 0.5},
+                           t=2, gamma=645.5, k=100.0)
 
     def test_fresh_maps_must_match_online(self):
         with pytest.raises(ProtocolError):

@@ -98,6 +98,19 @@ class TestParseConfig:
             config_from_dict({"dataset": {"kind": "synthetic", "input_dim": 6},
                               "model": {"input_dim": 6, "hidden_dims": [4.5], "num_classes": 4}})
 
+    def test_gamma_that_overflows_the_window_reward_is_rejected(self):
+        # 10 clients, 4 online: tau <= 3, and 700 * ln 3 + ln 10 > ln(max float)
+        with pytest.raises(ConfigError, match="gamma"):
+            config_from_dict({"gamma": 700, "online_per_round": 0.4})
+        # 600 * ln 3 + ln 10 = 661.5 stays below ln(max float) = 709.8
+        assert config_from_dict({"gamma": 600, "online_per_round": 0.4}).gamma == 600
+        # one client per round: tau <= 10, so the bound is 10^gamma * 10
+        with pytest.raises(ConfigError, match="gamma"):
+            config_from_dict({"gamma": 308, "online_per_round": 1})
+        assert config_from_dict({"gamma": 307, "online_per_round": 1}).gamma == 307
+        with pytest.raises(ConfigError, match="gamma"):
+            config_from_dict({"gamma": 10**400, "online_per_round": 0.4})
+
     def test_hash_is_stable_content_hash(self):
         a = config_from_dict(dict(SMALL))
         b = config_from_dict(dict(SMALL))
@@ -219,6 +232,11 @@ class TestValidateAndEnv:
         path = write_config(tmp_path, {"beta": -1})
         assert main(["validate", "--config", str(path)]) == 1
         assert "beta" in capsys.readouterr().err
+
+    def test_validate_rejects_overflowing_gamma(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"gamma": 700, "online_per_round": 0.4})
+        assert main(["validate", "--config", str(path)]) == 1
+        assert "gamma" in capsys.readouterr().err
 
     def test_seed_env_var_overrides_config(self, tmp_path, monkeypatch):
         path = write_config(tmp_path, {**SMALL, "seed": 5})

@@ -130,6 +130,45 @@ class TestEvaluateAccuracy:
         assert a[0] == b[0]
 
 
+def per_slice_accuracy(global_params, spec, shards):
+    """The one-forward-per-client evaluation, kept as the oracle."""
+    per_client = {}
+    for s in shards:
+        if not len(s.test):
+            continue
+        _, logits = forward(global_params, spec, Batch(s.test.inputs, s.test.labels))
+        per_client[s.client_id] = float(np.mean(logits.argmax(axis=1) == s.test.labels))
+    if not per_client:
+        raise MeasurementError("no shard has a non-empty test slice")
+    return float(np.mean(list(per_client.values()))), per_client
+
+
+class TestOnePassMatchesPerSliceOracle:
+    @given(seed=st.integers(0, 2**32 - 1),
+           num_classes=st.sampled_from([1, 2, 3, 10]),
+           slice_sizes=st.lists(st.sampled_from([0, 0, 1, 1, 2, 3, 7, 40]), min_size=1, max_size=12),
+           zero_params=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_bitwise_equal(self, seed, num_classes, slice_sizes, zero_params):
+        rng = np.random.default_rng(seed)
+        spec = ModelSpec(5, (6, 4), num_classes)
+        params = (np.zeros(spec.num_params()) if zero_params
+                  else rng.normal(0.0, 1.0, spec.num_params()))
+        shards = []
+        for cid, n in enumerate(slice_sizes, start=1):
+            test = Dataset(rng.uniform(size=(n, 5)), rng.integers(0, num_classes, size=n),
+                           num_classes)
+            shards.append(Shard(client_id=cid, train=test, test=test, test_flagged=not n))
+        if not any(slice_sizes):
+            with pytest.raises(MeasurementError):
+                evaluate_accuracy(params, spec, shards)
+            return
+        mean, per_client = evaluate_accuracy(params, spec, shards)
+        expected_mean, expected = per_slice_accuracy(params, spec, shards)
+        assert list(per_client.items()) == list(expected.items())
+        assert mean == expected_mean
+
+
 class TestFairnessSummary:
     def test_all_local_models_equal_global(self):
         v = np.array([1.0, 2.0, 3.0])
