@@ -12,10 +12,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from corefed.config import ExperimentConfig, SyntheticSource
+from corefed.config import ALGORITHMS, ExperimentConfig, SyntheticSource
 from corefed.simulation import run_simulation
-
-ALGORITHMS = ("corefed", "cofed", "refed", "fedavg")
 
 
 def main() -> None:

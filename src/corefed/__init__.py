@@ -8,7 +8,7 @@ single seed.
 
 from .config import ExperimentConfig, IdxSource, SyntheticSource, parse_config
 from .metrics import RoundReport
-from .simulation import run_experiment, run_simulation
+from .simulation import run_simulation
 
 __all__ = [
     "ExperimentConfig",
@@ -16,7 +16,6 @@ __all__ = [
     "SyntheticSource",
     "RoundReport",
     "parse_config",
-    "run_experiment",
     "run_simulation",
 ]
 

@@ -105,7 +105,7 @@ def fairness_weights(members: list[int], frequencies: dict[int, float],
     """Normalized (1/f_i)^gamma * sigmoid(k * rho_i) over the membership.
 
     Raises NumericalError naming the client when a score or the score total
-    leaves the float range.
+    leaves the float range, or a score or weight underflows to 0.
     """
     if not members:
         raise ProtocolError("fairness weights need at least one member")
@@ -122,14 +122,24 @@ def fairness_weights(members: list[int], frequencies: dict[int, float],
             raise NumericalError(f"client {cid}: (1/f)^gamma overflows at f={f!r}, "
                                  f"gamma={gamma!r}") from None
         scores[cid] = reward * _sigmoid(k * similarities[cid])
+        if not scores[cid] > 0:
+            raise NumericalError(f"client {cid}: score {float(scores[cid])!r} is not positive "
+                                 f"(k={k!r}, rho={similarities[cid]!r})")
     total = sum(scores.values())
     if not math.isfinite(total):
         top = max(scores, key=scores.__getitem__)
         raise NumericalError(f"client {top}: weight total overflows (its score is "
                              f"{scores[top]!r}, gamma={gamma!r})")
     weights = {cid: s / total for cid, s in scores.items()}
+    # Not redundant: the second division moves the last bit of some weights,
+    # and every fair-mode output is pinned to those bits.
     renorm = sum(weights.values())
     weights = {cid: w / renorm for cid, w in weights.items()}
+    for cid, weight in weights.items():
+        if not weight > 0:
+            raise NumericalError(f"client {cid}: weight underflows to {float(weight)!r} "
+                                 f"(its score is {float(scores[cid])!r} of a total "
+                                 f"{float(total)!r})")
     return WeightAssignment(
         weights=weights,
         window_tau=window_tau,

@@ -22,10 +22,7 @@ LEDGER_SCHEMA_VERSION = 1
 
 
 def write_vector(path, values: np.ndarray) -> None:
-    values = np.asarray(values, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", len(values)))
-        fh.write(values.tobytes())
+    Path(path).write_bytes(_pack_vector(values))
 
 
 def read_vector(path) -> np.ndarray:

@@ -12,20 +12,24 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
 from .nn import ModelSpec
 
-ALGORITHMS = ("corefed", "cofed", "refed", "fedavg")
-
-_TOP_KEYS = {
-    "algorithm", "rounds", "clients", "online_per_round", "local_epochs",
-    "batch_size", "eta0", "lr_decay", "gamma", "k", "beta", "tau_c",
-    "dirichlet_alpha", "seed", "test_fraction", "checkpoint_interval",
-    "dataset", "model",
+# Each algorithm is a pair of switches (align, fair): `align` turns on the
+# embedding alignment that drives representation fairness, `fair` the
+# reward-penalty aggregation that drives collaborative fairness.
+ALGORITHMS = {
+    "corefed": (True, True),
+    "cofed": (False, True),
+    "refed": (True, False),
+    "fedavg": (False, False),
 }
+
+# Above this k, exp(-k * rho) overflows at rho = -1 and sigmoid(k * rho) reads 0.
+_K_LIMIT = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -129,6 +133,9 @@ def _validate(cfg: ExperimentConfig) -> None:
                  f"{cfg.resolved_online()} online: a window of {largest_tau} rounds "
                  f"overflows the reward (1/f)^gamma")
     _require(cfg.k >= 0, "k must be non-negative")
+    _require(cfg.k <= _K_LIMIT,
+             f"k must be at most {_K_LIMIT:.6g}: above it the alignment reward "
+             f"sigmoid(k*rho) underflows to 0 at rho = -1")
     _require(0.0 <= cfg.beta <= 1.0, "beta must lie in [0,1]")
     _require(cfg.tau_c > 0, "tau_c must be positive")
     _require(cfg.dirichlet_alpha > 0, "dirichlet_alpha must be positive")
@@ -155,16 +162,10 @@ def _parse_dataset(raw) -> SyntheticSource | IdxSource:
         raise ConfigError("dataset must be an object")
     kind = raw.get("kind", "synthetic")
     if kind == "synthetic":
-        allowed = {"kind", "num_classes", "input_dim", "n"}
-        _reject_unknown(raw, allowed, "dataset")
-        defaults = SyntheticSource()
-        return SyntheticSource(
-            num_classes=raw.get("num_classes", defaults.num_classes),
-            input_dim=raw.get("input_dim", defaults.input_dim),
-            n=raw.get("n", defaults.n),
-        )
+        _reject_unknown(raw, {"kind"} | _keys(SyntheticSource), "dataset")
+        return SyntheticSource(**{key: value for key, value in raw.items() if key != "kind"})
     if kind == "idx":
-        _reject_unknown(raw, {"kind", "images", "labels"}, "dataset")
+        _reject_unknown(raw, {"kind"} | _keys(IdxSource), "dataset")
         if "images" not in raw or "labels" not in raw:
             raise ConfigError("dataset.images and dataset.labels are required for kind 'idx'")
         return IdxSource(images=str(raw["images"]), labels=str(raw["labels"]))
@@ -174,7 +175,7 @@ def _parse_dataset(raw) -> SyntheticSource | IdxSource:
 def _parse_model(raw) -> ModelSpec:
     if not isinstance(raw, dict):
         raise ConfigError("model must be an object")
-    _reject_unknown(raw, {"input_dim", "hidden_dims", "num_classes", "activation"}, "model")
+    _reject_unknown(raw, _keys(ModelSpec), "model")
     for key in ("input_dim", "hidden_dims", "num_classes"):
         if key not in raw:
             raise ConfigError(f"model.{key} is required when model is given")
@@ -184,6 +185,10 @@ def _parse_model(raw) -> ModelSpec:
         num_classes=raw["num_classes"],
         activation=raw.get("activation", "relu"),
     )
+
+
+def _keys(cls) -> frozenset[str]:
+    return frozenset(f.name for f in fields(cls))
 
 
 def _reject_unknown(raw: dict, allowed: set[str], where: str) -> None:
@@ -208,9 +213,8 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    _reject_unknown(raw, _TOP_KEYS, "config")
-    kwargs = {key: raw[key] for key in _TOP_KEYS & set(raw)
-              if key not in ("dataset", "model")}
+    _reject_unknown(raw, _keys(ExperimentConfig), "config")
+    kwargs = {key: value for key, value in raw.items() if key not in ("dataset", "model")}
     if "dataset" in raw:
         kwargs["dataset"] = _parse_dataset(raw["dataset"])
     if "model" in raw:
@@ -219,36 +223,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    if isinstance(cfg.dataset, SyntheticSource):
-        dataset = {"kind": "synthetic", "num_classes": cfg.dataset.num_classes,
-                   "input_dim": cfg.dataset.input_dim, "n": cfg.dataset.n}
-    else:
-        dataset = {"kind": "idx", "images": cfg.dataset.images, "labels": cfg.dataset.labels}
-    return {
-        "algorithm": cfg.algorithm,
-        "rounds": cfg.rounds,
-        "clients": cfg.clients,
-        "online_per_round": cfg.online_per_round,
-        "local_epochs": cfg.local_epochs,
-        "batch_size": cfg.batch_size,
-        "eta0": cfg.eta0,
-        "lr_decay": cfg.lr_decay,
-        "gamma": cfg.gamma,
-        "k": cfg.k,
-        "beta": cfg.beta,
-        "tau_c": cfg.tau_c,
-        "dirichlet_alpha": cfg.dirichlet_alpha,
-        "seed": cfg.seed,
-        "test_fraction": cfg.test_fraction,
-        "checkpoint_interval": cfg.checkpoint_interval,
-        "dataset": dataset,
-        "model": {
-            "input_dim": cfg.model.input_dim,
-            "hidden_dims": list(cfg.model.hidden_dims),
-            "num_classes": cfg.model.num_classes,
-            "activation": cfg.model.activation,
-        },
-    }
+    out = asdict(cfg)
+    kind = "synthetic" if isinstance(cfg.dataset, SyntheticSource) else "idx"
+    out["dataset"] = {"kind": kind, **out["dataset"]}
+    return out
 
 
 def dumps_config(cfg: ExperimentConfig) -> str:

@@ -24,12 +24,8 @@ _NORM_EPS = 1e-12
 
 @dataclass(frozen=True)
 class AlignmentRecord:
-    """Everything the server derives from one client's embedding in a round."""
+    """What the round reads from one client's alignment pass."""
 
-    client_id: int
-    raw: np.ndarray
-    alignment_score: float
-    refined: np.ndarray
     similarity: float
     contrastive_loss: float | None
 
@@ -126,13 +122,8 @@ def build_alignment_records(embeddings: dict[int, np.ndarray], z_global: np.ndar
     records = {}
     for cid in sorted(embeddings):
         raw = embeddings[cid]
-        score = cosine(raw, z_global)
         refined = distill(raw, alignment_vector(raw, z_global), beta)
         records[cid] = AlignmentRecord(
-            client_id=cid,
-            raw=raw,
-            alignment_score=score,
-            refined=refined,
             similarity=cosine(refined, z_global),
             contrastive_loss=contrastive_loss(cid, embeddings, z_global, tau_c),
         )

@@ -22,7 +22,7 @@ from .aggregation import (
     pseudo_gradient,
 )
 from .checkpoint import save_ledger, write_vector
-from .config import ExperimentConfig, IdxSource, SyntheticSource
+from .config import ALGORITHMS, ExperimentConfig, IdxSource, SyntheticSource
 from .data import Shard, dirichlet_partition, gen_synthetic, load_idx, split_test
 from .embedding import build_alignment_records, client_embedding, cosine, global_embedding
 from .errors import ClientSkipped, ConfigError, ProtocolError
@@ -84,8 +84,16 @@ def initial_params(config: ExperimentConfig) -> np.ndarray:
 
 def run_round(state: RunState, config: ExperimentConfig,
               shards: list[Shard]) -> tuple[RunState, RoundReport]:
-    """Execute one round and return the advanced state plus its report."""
+    """Execute one round and return the advanced state plus its report.
+
+    The algorithm's two switches shape the round: ``align`` takes each
+    client's similarity from its distilled embedding and logs contrastive
+    losses, ``fair`` aggregates pseudo-gradients with the reward-penalty
+    weights (similarity from the raw embedding unless ``align`` is on).
+    With neither, no embedding pass runs and the round is plain FedAvg.
+    """
     t = state.round + 1
+    align, fair = ALGORITHMS[config.algorithm]
     eta = lr_schedule(config.eta0, config.lr_decay, t)
     by_id = {shard.client_id: shard for shard in shards}
     sampled = sample_clients(state, config)
@@ -104,31 +112,28 @@ def run_round(state: RunState, config: ExperimentConfig,
 
     similarities: dict[int, float] = {}
     contrastives: dict[int, float | None] = {}
-    if config.algorithm in ("corefed", "refed", "cofed"):
+    if align or fair:
         embeddings = {cid: client_embedding(local_models[cid], config.model, by_id[cid])
                       for cid in active}
         z_global = global_embedding([embeddings[cid] for cid in active])
-        if config.algorithm == "cofed":
-            similarities = {cid: cosine(embeddings[cid], z_global) for cid in active}
-        else:
+        if align:
             records = build_alignment_records(embeddings, z_global, config.beta, config.tau_c)
             similarities = {cid: records[cid].similarity for cid in active}
             contrastives = {cid: records[cid].contrastive_loss for cid in active}
+        else:
+            similarities = {cid: cosine(embeddings[cid], z_global) for cid in active}
 
-    gradients = {cid: pseudo_gradient(state.params, local_models[cid], eta) for cid in active}
-    if config.algorithm in ("corefed", "cofed"):
+    if fair:
+        gradients = {cid: pseudo_gradient(state.params, local_models[cid], eta)
+                     for cid in active}
         assignment, merged = assemble_round(state.ledger, active, gradients, similarities,
                                             t, config.gamma, config.k)
         new_params = aggregate(state.params, assignment, merged, eta)
         weights = dict(assignment.weights)
     else:
-        # Baseline aggregation; the ledger still records the round so
-        # participation accounting stays comparable across algorithms.
+        # The ledger still records the round so participation accounting
+        # stays comparable across algorithms; nothing reads a cache here.
         state.ledger.record_round(t, active)
-        for cid in active:
-            state.ledger.cache_gradient(cid, gradients[cid])
-            if cid in similarities:
-                state.ledger.cache_similarity(cid, similarities[cid])
         sizes = {cid: len(by_id[cid].train) for cid in active}
         new_params = fedavg_aggregate(local_models, sizes)
         total = sum(sizes.values())
@@ -178,12 +183,6 @@ def run_simulation(config: ExperimentConfig, shards: list[Shard] | None = None,
             _write_checkpoint(Path(checkpoint_dir), state)
     return SimulationResult(reports=reports, initial_params=start,
                             final_params=state.params, shards=shards)
-
-
-def run_experiment(config: ExperimentConfig, shards: list[Shard] | None = None,
-                   checkpoint_dir=None) -> list[RoundReport]:
-    """Spec surface: the per-round report stream for a config."""
-    return run_simulation(config, shards=shards, checkpoint_dir=checkpoint_dir).reports
 
 
 def _write_checkpoint(root: Path, state: RunState) -> None:

@@ -176,6 +176,20 @@ class TestFairnessWeights:
         with pytest.raises(ProtocolError):
             fairness_weights([], {}, {}, gamma=1.0, k=1.0)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+    def test_alignment_reward_underflow_names_client(self):
+        # k = 1000 lies above ln(max float): exp(1000) overflows, so
+        # sigmoid(k * rho) reads 0 for client 1 at rho = -1
+        with pytest.raises(NumericalError, match=r"client 1\b"):
+            fairness_weights([1, 2], {1: 1.0, 2: 1.0}, {1: -1.0, 2: 1.0}, gamma=0.0, k=1000.0)
+
+    def test_weight_underflow_names_client(self):
+        # k at its config limit keeps sigmoid(-k) ~ 5.6e-309 positive, but
+        # client 2's reward 600^110 ~ 4e305 leaves client 1 a weight of 0
+        with pytest.raises(NumericalError, match=r"client 1: weight"):
+            fairness_weights([1, 2], {1: 1.0, 2: 1 / 600}, {1: -1.0, 2: 1.0},
+                             gamma=110.0, k=709.78)
+
 
 class TestPseudoGradient:
     def test_no_movement_means_zero_gradient(self):
@@ -341,6 +355,12 @@ class TestAssembleRound:
         with pytest.raises(NumericalError, match=r"round 2: client [23]\b"):
             assemble_round(ledger, [1], {1: np.array([1.0])}, {1: 0.5},
                            t=2, gamma=645.5, k=100.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+    def test_alignment_reward_underflow_names_round_and_client(self):
+        with pytest.raises(NumericalError, match=r"round 1: client 1\b"):
+            assemble_round(ParticipationLedger(), [1, 2], {c: np.array([1.0]) for c in (1, 2)},
+                           {1: -1.0, 2: 1.0}, t=1, gamma=0.0, k=1000.0)
 
     def test_fresh_maps_must_match_online(self):
         with pytest.raises(ProtocolError):

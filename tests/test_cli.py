@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -110,6 +111,12 @@ class TestParseConfig:
         assert config_from_dict({"gamma": 307, "online_per_round": 1}).gamma == 307
         with pytest.raises(ConfigError, match="gamma"):
             config_from_dict({"gamma": 10**400, "online_per_round": 0.4})
+
+    def test_k_that_underflows_the_alignment_reward_is_rejected(self):
+        # exp(-k * rho) at rho = -1 overflows once k > ln(max float) = 709.78
+        with pytest.raises(ConfigError, match="k must be at most"):
+            config_from_dict({"k": 1000.0})
+        assert config_from_dict({"k": 709.78}).k == 709.78
 
     def test_hash_is_stable_content_hash(self):
         a = config_from_dict(dict(SMALL))
@@ -238,6 +245,11 @@ class TestValidateAndEnv:
         assert main(["validate", "--config", str(path)]) == 1
         assert "gamma" in capsys.readouterr().err
 
+    def test_validate_rejects_overflowing_k(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"k": 1000.0})
+        assert main(["validate", "--config", str(path)]) == 1
+        assert "k must be at most" in capsys.readouterr().err
+
     def test_seed_env_var_overrides_config(self, tmp_path, monkeypatch):
         path = write_config(tmp_path, {**SMALL, "seed": 5})
         monkeypatch.setenv("COREFED_SEED", "123")
@@ -262,8 +274,8 @@ class TestSyntheticDefaults:
     def test_default_config_runs(self):
         cfg = ExperimentConfig(rounds=1, dataset=SyntheticSource(num_classes=2, input_dim=4, n=80),
                                clients=2, online_per_round=2, batch_size=8)
-        from corefed.simulation import run_experiment
-        assert len(run_experiment(cfg)) == 1
+        from corefed.simulation import run_simulation
+        assert len(run_simulation(cfg).reports) == 1
 
 
 class TestIdxEndToEnd:
@@ -291,3 +303,69 @@ class TestIdxEndToEnd:
         assert main(["run", "--config", str(config), "--out", str(out), "--run-id", "idx"]) == 0
         rows = (out / "idx" / "rounds.csv").read_text().splitlines()
         assert len(rows) == 3
+
+
+# sha256 of each algorithm's output files for GOLDEN_CONFIG. Recorded before
+# the algorithms became two switches over one round pipeline; every byte
+# stayed the same. The fedavg/refed ledger checkpoints are left out because
+# they no longer carry a gradient or similarity cache.
+GOLDEN_CONFIG = {**SMALL, "rounds": 5, "checkpoint_interval": 5}
+GOLDEN_SHA256 = {
+    "corefed": {
+        "rounds.csv": "4cae1f8b77f41f1ebf0b088edd05aea967f7479df53fe0139c595a48e9678589",
+        "per_client_accuracy.csv": "afa5864034c5ecc1ab8708b414c5eaa5031ea62af62896f11e922d8b6e82f856",
+        "summary.json": "56ba67e3161b4069df68035e451a3a65c19a562855616475585d4f3b1bc80a17",
+        "config.json": "fc78f0be116a00e5059ff08cf7d98f4ecbd46cf05f5c88a394aa66a2c24cf813",
+        "round_5/global.bin": "fe84ab021a81acc9d58dcccec041ab50f51f92c9163179548ccc9b8a31f7a562",
+        "round_5/ledger.json": "2aac6a55c7521389768e3ee0bcd4698cd5dd070a2562be8c6f3053162fb55081",
+        "round_5/gradients.bin": "9c279682ed8672f1f755e1dcf93ef1a06ed29c000ba5acb6eb47cf09c7826b28",
+    },
+    "cofed": {
+        "rounds.csv": "4dcb18d7d8564b5f7c76e984b30d35e5250b4660b08a4e9b6d59a1393337155e",
+        "per_client_accuracy.csv": "afa5864034c5ecc1ab8708b414c5eaa5031ea62af62896f11e922d8b6e82f856",
+        "summary.json": "a34bdcf5694938c6ea82990715dd65019261ac0245de55f0ce5e3ac14a7772ea",
+        "config.json": "d52c440774d3de3531032614e3f2590975d52142b836bb2527100c8fc33d4d65",
+        "round_5/global.bin": "1a0123ae1416fc69a3c98c629b45a66115d5c8dce53c14addfeb91b3c838ec51",
+        "round_5/ledger.json": "56acb0c32ac1ef0ed27d3aae166180aff291591c3196a52ae26ab99bf4cba72d",
+        "round_5/gradients.bin": "aacce01c63eb7b7231b09100616c390c0b131799e4790955230e7e11f13acdae",
+    },
+    "refed": {
+        "rounds.csv": "2a9a6b1fd3e8a06cea3cb5f3babac57cfa572351b57907f4d393f279fb4258f3",
+        "per_client_accuracy.csv": "661c65c60b15debf92977fda40c865ada5dbe1f6c6b3afca02239ef63cd12051",
+        "summary.json": "0be140ed3fab77bb5c7173f42cfd0aea2369ee23dcf771fde571d07f4097dfbb",
+        "config.json": "747f875ce2f48e43d06f363743851311ff92600c3aefae83853cd2b1d5ef4051",
+        "round_5/global.bin": "fb4ef17d13f893fe940beb90c9711c53f1beab876fd59ede08a85caf23f9adfe",
+    },
+    "fedavg": {
+        "rounds.csv": "b89803df5ecf13e6b6b8a726e1bebcc6a3a00180332d459966335d047a6616c9",
+        "per_client_accuracy.csv": "661c65c60b15debf92977fda40c865ada5dbe1f6c6b3afca02239ef63cd12051",
+        "summary.json": "1c22c697ff4912e6965b5b421ba609d8b82148d0df3e0cf9140bc672b8104a99",
+        "config.json": "0f9f538956c32cc39940703ca3d4eb0c60a99305887fa073d9cb921d5141398a",
+        "round_5/global.bin": "fb4ef17d13f893fe940beb90c9711c53f1beab876fd59ede08a85caf23f9adfe",
+    },
+}
+
+
+class TestGoldenBytes:
+    def test_sweep_outputs_are_pinned(self, tmp_path):
+        config = write_config(tmp_path, GOLDEN_CONFIG)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(config), "--out", str(out), "--run-id", "golden",
+                     "--algorithms", "corefed,cofed,refed,fedavg"]) == 0
+        for algorithm, files in GOLDEN_SHA256.items():
+            for name, digest in files.items():
+                data = (out / "golden" / algorithm / name).read_bytes()
+                assert hashlib.sha256(data).hexdigest() == digest, f"{algorithm}/{name}"
+
+        def ledger(algorithm):
+            path = out / "golden" / algorithm / "round_5" / "ledger.json"
+            return json.loads(path.read_text(encoding="utf-8"))
+
+        fair = ledger("corefed")
+        assert fair["gradient_cache"] and fair["last_similarity"]
+        for algorithm in ("refed", "fedavg"):
+            plain = ledger(algorithm)
+            assert plain["history"] == fair["history"]
+            assert plain["last_participation"] == fair["last_participation"]
+            assert plain["gradient_cache"] == [] and plain["last_similarity"] == {}
+            assert (out / "golden" / algorithm / "round_5" / "gradients.bin").read_bytes() == b""

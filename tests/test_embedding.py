@@ -198,12 +198,14 @@ class TestDistill:
 
 
 class TestAlignmentRecords:
-    def test_similarity_recomputable_from_stored_refined(self):
+    def test_similarity_recomputable_from_distilled_embedding(self):
         rng = np.random.default_rng(4)
         embeddings = {i: rng.normal(size=5) for i in (1, 2, 3)}
         z_global = global_embedding(list(embeddings.values()))
         records = build_alignment_records(embeddings, z_global, beta=0.5, tau_c=0.07)
-        for record in records.values():
-            assert record.similarity == cosine(record.refined, z_global)
-            assert record.alignment_score == cosine(record.raw, z_global)
-            assert record.contrastive_loss is not None
+        assert sorted(records) == [1, 2, 3]
+        for cid, record in records.items():
+            raw = embeddings[cid]
+            refined = distill(raw, alignment_vector(raw, z_global), 0.5)
+            assert record.similarity == cosine(refined, z_global)
+            assert record.contrastive_loss == contrastive_loss(cid, embeddings, z_global, 0.07)

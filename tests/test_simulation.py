@@ -12,7 +12,6 @@ from corefed.simulation import (
     build_shards,
     initial_params,
     lr_schedule,
-    run_experiment,
     run_round,
     run_simulation,
     sample_clients,
@@ -134,8 +133,8 @@ class TestRunExperiment:
 
     def test_full_determinism_of_report_stream(self):
         cfg = small_config(rounds=4)
-        a = run_experiment(cfg)
-        b = run_experiment(cfg)
+        a = run_simulation(cfg).reports
+        b = run_simulation(cfg).reports
         assert len(a) == len(b) == 4
         for ra, rb in zip(a, b):
             assert ra == rb
@@ -148,8 +147,8 @@ class TestRunExperiment:
         for sa, sb in zip(shards_a, shards_b):
             np.testing.assert_array_equal(sa.train.inputs, sb.train.inputs)
             np.testing.assert_array_equal(sa.test.labels, sb.test.labels)
-        online_a = [r.online for r in run_experiment(cfg_a)]
-        online_b = [r.online for r in run_experiment(cfg_b)]
+        online_a = [r.online for r in run_simulation(cfg_a).reports]
+        online_b = [r.online for r in run_simulation(cfg_b).reports]
         assert online_a == online_b
 
     def test_ledger_distinct_count_monotone_and_bounded(self):
