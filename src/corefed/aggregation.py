@@ -157,17 +157,14 @@ def pseudo_gradient(global_params: np.ndarray, local_params: np.ndarray, eta: fl
     return (global_params - local_params) / eta
 
 
-def reuse_gradient(ledger: ParticipationLedger, client: int, t: int, tau: int,
-                   current: np.ndarray | None = None) -> np.ndarray | None:
+def reuse_gradient(ledger: ParticipationLedger, client: int, t: int,
+                   tau: int) -> np.ndarray | None:
     """Gradient-reuse rule over the sliding window.
 
-    Online clients (current supplied) contribute their fresh gradient and
-    refresh the cache; clients whose last round is at most tau back reuse the
-    cached one (boundary inclusive); older clients contribute nothing.
+    A client whose last round is at most tau back (boundary inclusive, the
+    current round counting as age 0) contributes its cached gradient; older
+    clients contribute nothing.
     """
-    if current is not None:
-        ledger.cache_gradient(client, current)
-        return current
     last = ledger.last_participation.get(client)
     if last is None or t - last > tau:
         return None
@@ -215,6 +212,7 @@ def assemble_round(ledger: ParticipationLedger, online, fresh_gradients: dict[in
     A reused member whose last round sits just outside the frequency window
     (the boundary t - t_i = tau) would read frequency 0 from the window sum;
     its frequency is floored at 1/tau so membership never divides by zero.
+    The floor never moves an online member, whose count is at least 1.
     """
     online = sorted(int(c) for c in online)
     if set(fresh_gradients) != set(online) or set(fresh_similarities) != set(online):
@@ -222,16 +220,15 @@ def assemble_round(ledger: ParticipationLedger, online, fresh_gradients: dict[in
     tau = window_length(ledger, len(online))
     ledger.record_round(t, online)
 
-    frequencies, similarities, gradients = {}, {}, {}
     for cid in online:
-        frequencies[cid] = participation_frequency(ledger, cid, t, tau)
-        similarities[cid] = float(fresh_similarities[cid])
-        gradients[cid] = reuse_gradient(ledger, cid, t, tau, current=fresh_gradients[cid])
-        ledger.cache_similarity(cid, similarities[cid])
-
+        ledger.cache_gradient(cid, fresh_gradients[cid])
+        ledger.cache_similarity(cid, fresh_similarities[cid])
+    members = set(online)
     reused = sorted(cid for cid, last in ledger.last_participation.items()
-                    if cid not in frequencies and t - last <= tau)
-    for cid in reused:
+                    if cid not in members and t - last <= tau)
+
+    frequencies, similarities, gradients = {}, {}, {}
+    for cid in online + reused:
         cached = reuse_gradient(ledger, cid, t, tau)
         if cached is None:
             raise InvariantError(f"client {cid} qualified for reuse but has no cached gradient")

@@ -12,7 +12,7 @@ import math
 import os
 import shutil
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .config import (
@@ -31,15 +31,6 @@ ROUNDS_HEADER = "round,mean_accuracy,d_cosine_mean,d_manhattan_mean,learning_rat
 SUMMARY_SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    config_path: str
-    output_dir: str
-    run_id: str
-    config_sha1: str
-    overwrite: bool = False
-
-
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
@@ -56,26 +47,13 @@ def load_config(path) -> ExperimentConfig:
     return cfg
 
 
-def make_manifest(config_path, out_dir, cfg: ExperimentConfig, run_id: str | None,
-                  overwrite: bool, prefix: str = "run") -> RunManifest:
-    digest = config_hash(cfg)
-    return RunManifest(
-        config_path=str(config_path),
-        output_dir=str(out_dir),
-        run_id=run_id or f"{prefix}-{digest[:12]}",
-        config_sha1=digest,
-        overwrite=overwrite,
-    )
-
-
-def _prepare_run_dir(manifest: RunManifest) -> Path:
-    run_dir = Path(manifest.output_dir) / manifest.run_id
-    if run_dir.exists():
-        if not manifest.overwrite:
-            raise FileExistsError(f"run directory {run_dir} exists; pass --overwrite to replace it")
-        shutil.rmtree(run_dir)
-    run_dir.mkdir(parents=True)
-    return run_dir
+def _fresh_dir(path: Path, overwrite: bool) -> Path:
+    if path.exists():
+        if not overwrite:
+            raise FileExistsError(f"run directory {path} exists; pass --overwrite to replace it")
+        shutil.rmtree(path)
+    path.mkdir(parents=True)
+    return path
 
 
 def _round_row(report: RoundReport) -> str:
@@ -90,7 +68,7 @@ def _round_row(report: RoundReport) -> str:
     ])
 
 
-def write_outputs(run_dir: Path, cfg: ExperimentConfig, manifest: RunManifest,
+def write_outputs(run_dir: Path, cfg: ExperimentConfig, run_id: str,
                   reports: list[RoundReport]) -> None:
     (run_dir / "config.json").write_text(dumps_config(cfg), encoding="utf-8")
 
@@ -118,9 +96,9 @@ def write_outputs(run_dir: Path, cfg: ExperimentConfig, manifest: RunManifest,
         }
     summary = {
         "schema_version": SUMMARY_SCHEMA_VERSION,
-        "run_id": manifest.run_id,
+        "run_id": run_id,
         "algorithm": cfg.algorithm,
-        "config_sha1": manifest.config_sha1,
+        "config_sha1": config_hash(cfg),
         "rounds": len(reports),
         "final": final,
     }
@@ -128,61 +106,53 @@ def write_outputs(run_dir: Path, cfg: ExperimentConfig, manifest: RunManifest,
                                           encoding="utf-8")
 
 
-def cmd_run(manifest: RunManifest, cfg: ExperimentConfig) -> int:
-    try:
-        run_dir = _prepare_run_dir(manifest)
-        result = run_simulation(cfg, checkpoint_dir=run_dir if cfg.checkpoint_interval else None)
-        write_outputs(run_dir, cfg, manifest, result.reports)
-    except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(f"run {manifest.run_id}: {len(result.reports)} rounds -> {run_dir}")
-    return 0
+def _run_into(out: Path, run_id: str, cfg: ExperimentConfig,
+              overwrite: bool = False) -> list[RoundReport]:
+    """Simulate ``cfg`` into ``<out>/<run_id>`` (checkpoints included) and write its files."""
+    run_dir = _fresh_dir(out / run_id, overwrite)
+    reports = run_simulation(cfg, checkpoint_dir=run_dir).reports
+    write_outputs(run_dir, cfg, run_id, reports)
+    return reports
 
 
-def cmd_sweep(manifest: RunManifest, cfg: ExperimentConfig, algorithms: list[str]) -> int:
+def cmd_run(cfg: ExperimentConfig, args) -> None:
+    run_id = args.run_id or f"run-{config_hash(cfg)[:12]}"
+    reports = _run_into(Path(args.out), run_id, cfg, args.overwrite)
+    print(f"run {run_id}: {len(reports)} rounds -> {Path(args.out) / run_id}")
+
+
+def cmd_sweep(cfg: ExperimentConfig, args) -> None:
+    algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     if not algorithms:
-        print("error: sweep needs at least one algorithm", file=sys.stderr)
-        return 1
+        raise ConfigError("sweep needs at least one algorithm")
     unknown = [a for a in algorithms if a not in ALGORITHMS]
     if unknown:
-        print(f"error: unknown algorithm(s): {', '.join(unknown)}", file=sys.stderr)
-        return 1
-    try:
-        sweep_dir = _prepare_run_dir(manifest)
-        comparison = ["algorithm,accuracy,d_cosine,d_manhattan"]
-        for algorithm in algorithms:
-            algo_cfg = replace(cfg, algorithm=algorithm)
-            algo_dir = sweep_dir / algorithm
-            algo_dir.mkdir()
-            result = run_simulation(
-                algo_cfg, checkpoint_dir=algo_dir if algo_cfg.checkpoint_interval else None)
-            algo_manifest = replace(manifest, run_id=f"{manifest.run_id}/{algorithm}",
-                                    config_sha1=config_hash(algo_cfg))
-            write_outputs(algo_dir, algo_cfg, algo_manifest, result.reports)
-            last = result.reports[-1] if result.reports else None
-            comparison.append(",".join([
-                algorithm,
-                _fmt(last.mean_accuracy) if last else "nan",
-                _fmt(last.d_cosine_mean) if last else "nan",
-                _fmt(last.d_manhattan_mean) if last else "nan",
-            ]))
-        (sweep_dir / "comparison.csv").write_text("\n".join(comparison) + "\n", encoding="utf-8")
-    except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(f"sweep {manifest.run_id}: {', '.join(algorithms)} -> {sweep_dir}")
-    return 0
+        raise ConfigError(f"unknown algorithm(s): {', '.join(unknown)}")
+    repeated = sorted({a for a in algorithms if algorithms.count(a) > 1})
+    if repeated:
+        raise ConfigError(f"algorithm(s) given more than once: {', '.join(repeated)}")
+    out = Path(args.out)
+    run_id = args.run_id or f"sweep-{config_hash(cfg)[:12]}"
+    sweep_dir = _fresh_dir(out / run_id, args.overwrite)
+    comparison = ["algorithm,accuracy,d_cosine,d_manhattan"]
+    for algorithm in algorithms:
+        reports = _run_into(out, f"{run_id}/{algorithm}", replace(cfg, algorithm=algorithm))
+        last = reports[-1] if reports else None
+        comparison.append(",".join([
+            algorithm,
+            _fmt(last.mean_accuracy) if last else "nan",
+            _fmt(last.d_cosine_mean) if last else "nan",
+            _fmt(last.d_manhattan_mean) if last else "nan",
+        ]))
+    (sweep_dir / "comparison.csv").write_text("\n".join(comparison) + "\n", encoding="utf-8")
+    print(f"sweep {run_id}: {', '.join(algorithms)} -> {sweep_dir}")
 
 
-def cmd_validate(config_path) -> int:
-    try:
-        cfg = load_config(config_path)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def cmd_validate(cfg: ExperimentConfig, args) -> None:
     sys.stdout.write(dumps_config(cfg))
-    return 0
+
+
+COMMANDS = {"run": cmd_run, "sweep": cmd_sweep, "validate": cmd_validate}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -192,40 +162,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one experiment and write result files")
-    run_p.add_argument("--config", required=True, help="path to a JSON experiment config")
-    run_p.add_argument("--out", required=True, help="output directory (run files go in <out>/<run-id>)")
-    run_p.add_argument("--run-id", default=None, help="run directory name (default: config hash)")
-    run_p.add_argument("--overwrite", action="store_true", help="replace an existing run directory")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True, help="path to a JSON experiment config")
+    outputs = argparse.ArgumentParser(add_help=False, parents=[config])
+    outputs.add_argument("--out", required=True, help="output directory (run files go in <out>/<run-id>)")
+    outputs.add_argument("--run-id", default=None,
+                         help="run directory name (default: run- or sweep- plus the config hash)")
+    outputs.add_argument("--overwrite", action="store_true", help="replace an existing run directory")
 
-    sweep_p = sub.add_parser("sweep", help="run several algorithms on the identical seed/partition")
-    sweep_p.add_argument("--config", required=True)
-    sweep_p.add_argument("--out", required=True)
+    sub.add_parser("run", parents=[outputs], help="run one experiment and write result files")
+    sweep_p = sub.add_parser("sweep", parents=[outputs],
+                             help="run several algorithms on the identical seed/partition")
     sweep_p.add_argument("--algorithms", required=True,
                          help=f"comma-separated subset of {{{','.join(ALGORITHMS)}}}")
-    sweep_p.add_argument("--run-id", default=None)
-    sweep_p.add_argument("--overwrite", action="store_true")
-
-    val_p = sub.add_parser("validate", help="parse a config and echo the resolved values")
-    val_p.add_argument("--config", required=True)
+    sub.add_parser("validate", parents=[config], help="parse a config and echo the resolved values")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "validate":
-        return cmd_validate(args.config)
     try:
-        cfg = load_config(args.config)
-    except (ConfigError, OSError) as exc:
+        COMMANDS[args.command](load_config(args.config), args)
+    except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.command == "run":
-        manifest = make_manifest(args.config, args.out, cfg, args.run_id, args.overwrite)
-        return cmd_run(manifest, cfg)
-    algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-    manifest = make_manifest(args.config, args.out, cfg, args.run_id, args.overwrite, prefix="sweep")
-    return cmd_sweep(manifest, cfg, algorithms)
+    return 0
 
 
 if __name__ == "__main__":

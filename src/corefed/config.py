@@ -95,17 +95,23 @@ def _require(condition: bool, message: str) -> None:
 
 _REAL_FIELDS = ("eta0", "lr_decay", "gamma", "k", "beta", "tau_c",
                 "dirichlet_alpha", "test_fraction")
+# Integer fields and the least value each accepts.
+_INT_FIELDS = {"rounds": 0, "clients": 1, "local_epochs": 0, "batch_size": 1, "seed": 0,
+               "checkpoint_interval": 0}
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    _require(cfg.algorithm in ALGORITHMS,
+    _require(isinstance(cfg.algorithm, str) and cfg.algorithm in ALGORITHMS,
              f"algorithm must be one of {', '.join(ALGORITHMS)}")
     for name in _REAL_FIELDS:
         value = getattr(cfg, name)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{name} must be a number")
-    _require(isinstance(cfg.rounds, int) and cfg.rounds >= 0, "rounds must be a non-negative integer")
-    _require(isinstance(cfg.clients, int) and cfg.clients >= 1, "clients must be a positive integer")
+        _require(isinstance(value, int) or math.isfinite(value), f"{name} must be finite")
+    for name, least in _INT_FIELDS.items():
+        value = getattr(cfg, name)
+        _require(isinstance(value, int) and not isinstance(value, bool) and value >= least,
+                 f"{name} must be a {'positive' if least else 'non-negative'} integer")
     if isinstance(cfg.online_per_round, bool) or not isinstance(cfg.online_per_round, (int, float)):
         raise ConfigError("online_per_round must be an integer count or a fraction in (0, 1]")
     if isinstance(cfg.online_per_round, int):
@@ -114,10 +120,6 @@ def _validate(cfg: ExperimentConfig) -> None:
     else:
         _require(0.0 < cfg.online_per_round <= 1.0,
                  "online_per_round as a fraction must lie in (0, 1]")
-    _require(isinstance(cfg.local_epochs, int) and cfg.local_epochs >= 0,
-             "local_epochs must be a non-negative integer")
-    _require(isinstance(cfg.batch_size, int) and cfg.batch_size >= 1,
-             "batch_size must be a positive integer")
     _require(cfg.eta0 > 0, "eta0 must be positive")
     _require(0.0 < cfg.lr_decay <= 1.0, "lr_decay must lie in (0, 1]")
     _require(cfg.gamma >= 0, "gamma must be non-negative")
@@ -139,10 +141,7 @@ def _validate(cfg: ExperimentConfig) -> None:
     _require(0.0 <= cfg.beta <= 1.0, "beta must lie in [0,1]")
     _require(cfg.tau_c > 0, "tau_c must be positive")
     _require(cfg.dirichlet_alpha > 0, "dirichlet_alpha must be positive")
-    _require(isinstance(cfg.seed, int) and cfg.seed >= 0, "seed must be a non-negative integer")
     _require(0.0 < cfg.test_fraction < 1.0, "test_fraction must lie strictly between 0 and 1")
-    _require(isinstance(cfg.checkpoint_interval, int) and cfg.checkpoint_interval >= 0,
-             "checkpoint_interval must be a non-negative integer")
     if isinstance(cfg.dataset, SyntheticSource):
         src = cfg.dataset
         for name in ("num_classes", "input_dim", "n"):
@@ -179,6 +178,8 @@ def _parse_model(raw) -> ModelSpec:
     for key in ("input_dim", "hidden_dims", "num_classes"):
         if key not in raw:
             raise ConfigError(f"model.{key} is required when model is given")
+    if not isinstance(raw["hidden_dims"], list):
+        raise ConfigError("model.hidden_dims must be a list of positive widths")
     return ModelSpec(
         input_dim=raw["input_dim"],
         hidden_dims=tuple(raw["hidden_dims"]),

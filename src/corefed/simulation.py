@@ -160,12 +160,12 @@ class SimulationResult:
     reports: list[RoundReport]
     initial_params: np.ndarray
     final_params: np.ndarray
-    shards: list[Shard]
 
 
 def run_simulation(config: ExperimentConfig, shards: list[Shard] | None = None,
                    checkpoint_dir=None) -> SimulationResult:
-    """Run the full experiment, optionally checkpointing every N rounds.
+    """Run the full experiment, checkpointing into ``checkpoint_dir`` (when given)
+    every ``checkpoint_interval`` rounds (when positive).
 
     ``shards`` may be injected (tests, pre-built partitions); by default they
     are derived from the config seed.
@@ -181,8 +181,7 @@ def run_simulation(config: ExperimentConfig, shards: list[Shard] | None = None,
         if (checkpoint_dir is not None and config.checkpoint_interval > 0
                 and state.round % config.checkpoint_interval == 0):
             _write_checkpoint(Path(checkpoint_dir), state)
-    return SimulationResult(reports=reports, initial_params=start,
-                            final_params=state.params, shards=shards)
+    return SimulationResult(reports=reports, initial_params=start, final_params=state.params)
 
 
 def _write_checkpoint(root: Path, state: RunState) -> None:

@@ -211,11 +211,13 @@ class TestPseudoGradient:
 
 class TestReuseGradient:
     def test_online_client_updates_cache(self):
-        ledger = ledger_with_history([{1}])
+        ledger = ParticipationLedger()
+        assemble_round(ledger, [1], {1: np.array([2.0, 2.0])}, {1: 0.5}, t=1, gamma=0.5, k=2.0)
         fresh = np.array([1.0, -1.0])
-        out = reuse_gradient(ledger, 1, 1, 1, current=fresh)
-        np.testing.assert_array_equal(out, fresh)
-        np.testing.assert_array_equal(ledger.last_gradient[1], fresh)
+        _, merged = assemble_round(ledger, [1], {1: fresh}, {1: 0.25}, t=2, gamma=0.5, k=2.0)
+        np.testing.assert_array_equal(merged[1], fresh)
+        np.testing.assert_array_equal(reuse_gradient(ledger, 1, t=2, tau=1), fresh)
+        assert ledger.last_similarity[1] == 0.25
 
     def test_boundary_age_still_reuses(self):
         ledger = ledger_with_history([{1}])

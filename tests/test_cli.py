@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -118,6 +119,29 @@ class TestParseConfig:
             config_from_dict({"k": 1000.0})
         assert config_from_dict({"k": 709.78}).k == 709.78
 
+    def test_non_finite_reals_are_rejected(self, tmp_path):
+        path = tmp_path / "inf.json"
+        path.write_text('{"eta0": Infinity, "rounds": 2}', encoding="utf-8")
+        with pytest.raises(ConfigError, match="eta0 must be finite"):
+            parse_config(path)
+        for name in ("eta0", "lr_decay", "gamma", "k", "beta", "tau_c", "dirichlet_alpha",
+                     "test_fraction"):
+            for value in (math.inf, -math.inf, math.nan):
+                with pytest.raises(ConfigError, match=f"{name} must be finite"):
+                    config_from_dict({name: value})
+
+    def test_booleans_are_not_integers(self):
+        for name in ("rounds", "clients", "local_epochs", "batch_size", "seed",
+                     "checkpoint_interval"):
+            with pytest.raises(ConfigError, match=f"{name} must be a"):
+                config_from_dict({name: True})
+
+    def test_malformed_algorithm_and_hidden_dims_are_config_errors(self):
+        with pytest.raises(ConfigError, match="algorithm must be one of"):
+            config_from_dict({"algorithm": ["x"]})
+        with pytest.raises(ConfigError, match="hidden_dims"):
+            config_from_dict({"model": {"input_dim": 32, "hidden_dims": 5, "num_classes": 4}})
+
     def test_hash_is_stable_content_hash(self):
         a = config_from_dict(dict(SMALL))
         b = config_from_dict(dict(SMALL))
@@ -225,6 +249,15 @@ class TestCmdSweep:
                      "--algorithms", "corefed,qfedavg"])
         assert code == 1
 
+    def test_repeated_algorithm_rejected_before_any_run(self, tmp_path, capsys):
+        config = write_config(tmp_path, SMALL)
+        out = tmp_path / "o"
+        code = main(["sweep", "--config", str(config), "--out", str(out),
+                     "--algorithms", "corefed,fedavg,corefed"])
+        assert code == 1
+        assert "more than once: corefed" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestValidateAndEnv:
     def test_validate_echoes_resolved_config(self, tmp_path, capsys):
@@ -249,6 +282,19 @@ class TestValidateAndEnv:
         path = write_config(tmp_path, {"k": 1000.0})
         assert main(["validate", "--config", str(path)]) == 1
         assert "k must be at most" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        '{"eta0": Infinity, "rounds": 2}',
+        '{"clients": true}',
+        '{"algorithm": ["x"]}',
+        '{"model": {"input_dim": 32, "hidden_dims": 5, "num_classes": 4}}',
+    ])
+    def test_validate_rejects_malformed_values(self, tmp_path, capsys, text):
+        path = tmp_path / "malformed.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["validate", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
     def test_seed_env_var_overrides_config(self, tmp_path, monkeypatch):
         path = write_config(tmp_path, {**SMALL, "seed": 5})
@@ -346,7 +392,26 @@ GOLDEN_SHA256 = {
 }
 
 
+# `corefed run` of GOLDEN_CONFIG with no --run-id: the directory name is the
+# config hash, and every file except summary.json (which names the run) is
+# the corefed sweep member's.
+GOLDEN_RUN_DIR = "run-2b9485235826"
+GOLDEN_RUN_SHA256 = {
+    **GOLDEN_SHA256["corefed"],
+    "summary.json": "e00e2b46e736bd979af3354a614c8b56999daee85c8799b23954d004ec43c49b",
+}
+
+
 class TestGoldenBytes:
+    def test_run_outputs_are_pinned(self, tmp_path):
+        config = write_config(tmp_path, GOLDEN_CONFIG)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        assert [p.name for p in out.iterdir()] == [GOLDEN_RUN_DIR]
+        for name, digest in GOLDEN_RUN_SHA256.items():
+            data = (out / GOLDEN_RUN_DIR / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name
+
     def test_sweep_outputs_are_pinned(self, tmp_path):
         config = write_config(tmp_path, GOLDEN_CONFIG)
         out = tmp_path / "out"
