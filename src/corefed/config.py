@@ -30,6 +30,8 @@ ALGORITHMS = {
 
 # Above this k, exp(-k * rho) overflows at rho = -1 and sigmoid(k * rho) reads 0.
 _K_LIMIT = math.log(sys.float_info.max)
+# Below this tau_c a contrastive score cos/tau_c, or a difference of two, overflows.
+_TAU_C_MIN = 2 / sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -122,6 +124,9 @@ def _validate(cfg: ExperimentConfig) -> None:
                  "online_per_round as a fraction must lie in (0, 1]")
     _require(cfg.eta0 > 0, "eta0 must be positive")
     _require(0.0 < cfg.lr_decay <= 1.0, "lr_decay must lie in (0, 1]")
+    # The rate eta0 * lr_decay^(t-1) never rises, so the last round's is the least.
+    _require(cfg.rounds < 1 or cfg.eta0 * cfg.lr_decay ** (cfg.rounds - 1) > 0,
+             f"learning rate eta0 * lr_decay^(t-1) reaches 0 before the last round, {cfg.rounds}")
     _require(cfg.gamma >= 0, "gamma must be non-negative")
     # The largest window is tau = ceil(clients / online), where a member's
     # reward (1/f)^gamma reaches tau^gamma; the weight total over at most
@@ -140,6 +145,8 @@ def _validate(cfg: ExperimentConfig) -> None:
              f"sigmoid(k*rho) underflows to 0 at rho = -1")
     _require(0.0 <= cfg.beta <= 1.0, "beta must lie in [0,1]")
     _require(cfg.tau_c > 0, "tau_c must be positive")
+    _require(cfg.tau_c >= _TAU_C_MIN,
+             f"tau_c must be at least {_TAU_C_MIN:.6g}: below it scores cos/tau_c overflow")
     _require(cfg.dirichlet_alpha > 0, "dirichlet_alpha must be positive")
     _require(0.0 < cfg.test_fraction < 1.0, "test_fraction must lie strictly between 0 and 1")
     if isinstance(cfg.dataset, SyntheticSource):
@@ -180,12 +187,7 @@ def _parse_model(raw) -> ModelSpec:
             raise ConfigError(f"model.{key} is required when model is given")
     if not isinstance(raw["hidden_dims"], list):
         raise ConfigError("model.hidden_dims must be a list of positive widths")
-    return ModelSpec(
-        input_dim=raw["input_dim"],
-        hidden_dims=tuple(raw["hidden_dims"]),
-        num_classes=raw["num_classes"],
-        activation=raw.get("activation", "relu"),
-    )
+    return ModelSpec(**raw)
 
 
 def _keys(cls) -> frozenset[str]:

@@ -52,21 +52,20 @@ class Dataset:
 class Shard:
     """One client's private data with its train/test split.
 
-    ``test_flagged`` marks shards whose test slice came out empty because
-    every class the client holds was too small to spare a sample.
+    ``split_test`` keeps at least one sample of every class for training, so
+    each shard of a ``dirichlet_partition`` plan holds training data. The test
+    slice is empty when every class the client holds has a single sample.
     """
 
     client_id: int
     train: Dataset
     test: Dataset
-    test_flagged: bool = False
 
 
 @dataclass(frozen=True)
 class PartitionPlan:
     """Per-sample client assignment produced by ``dirichlet_partition``."""
 
-    alpha: float
     num_clients: int
     seed: int
     assignment: np.ndarray = field(repr=False)
@@ -173,7 +172,7 @@ def dirichlet_partition(dataset: Dataset, m: int, alpha: float, seed: int) -> Pa
                 assignment[shuffled[offset : offset + count]] = client
                 offset += count
         if len(np.unique(assignment[assignment >= 0])) == m:
-            return PartitionPlan(alpha=alpha, num_clients=m, seed=seed, assignment=assignment)
+            return PartitionPlan(num_clients=m, seed=seed, assignment=assignment)
     raise PartitionError(f"no partition gave every client data after {_PARTITION_RETRIES} attempts "
                          f"(m={m}, alpha={alpha}, n={len(dataset)})")
 
@@ -206,10 +205,5 @@ def split_test(dataset: Dataset, plan: PartitionPlan, test_fraction: float) -> l
             train_parts.append(np.sort(class_idx[order[n_test:]]))
         train_idx = np.sort(np.concatenate(train_parts)) if train_parts else np.empty(0, dtype=np.int64)
         test_idx = np.sort(np.concatenate(test_parts)) if test_parts else np.empty(0, dtype=np.int64)
-        shards.append(Shard(
-            client_id=client + 1,
-            train=dataset.subset(train_idx),
-            test=dataset.subset(test_idx),
-            test_flagged=len(test_idx) == 0,
-        ))
+        shards.append(Shard(client + 1, dataset.subset(train_idx), dataset.subset(test_idx)))
     return shards

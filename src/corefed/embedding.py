@@ -9,7 +9,6 @@ through the alignment/distillation path and the similarity it produces.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,14 +19,6 @@ from .nn import Batch, ModelSpec, forward
 logger = logging.getLogger(__name__)
 
 _NORM_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class AlignmentRecord:
-    """What the round reads from one client's alignment pass."""
-
-    similarity: float
-    contrastive_loss: float | None
 
 
 def client_embedding(params: np.ndarray, spec: ModelSpec, shard: Shard) -> np.ndarray:
@@ -98,10 +89,7 @@ def contrastive_loss(i: int, embeddings: dict[int, np.ndarray], z_global: np.nda
 
 def alignment_vector(z_i: np.ndarray, z_global: np.ndarray) -> np.ndarray:
     """Global embedding scaled by the client's alignment score cos(z_i, z_g)."""
-    score = cosine(z_i, z_global)
-    if score < 0:
-        logger.debug("negative alignment score %.4f: target points away from the global embedding", score)
-    return score * z_global
+    return cosine(z_i, z_global) * z_global
 
 
 def distill(z_i: np.ndarray, z_align: np.ndarray, beta: float) -> np.ndarray:
@@ -112,19 +100,19 @@ def distill(z_i: np.ndarray, z_align: np.ndarray, beta: float) -> np.ndarray:
 
 
 def build_alignment_records(embeddings: dict[int, np.ndarray], z_global: np.ndarray,
-                            beta: float, tau_c: float) -> dict[int, AlignmentRecord]:
+                            beta: float, tau_c: float
+                            ) -> tuple[dict[int, float], dict[int, float | None]]:
     """Run the full per-client alignment pass for one round.
 
-    For each participant: contrastive diagnostic, alignment vector,
-    distilled embedding, and the refined-vs-global similarity used by the
-    aggregation weights.
+    For each participant: alignment vector, distilled embedding and the
+    refined-vs-global similarity used by the aggregation weights, plus the
+    contrastive diagnostic. Returns (similarities, contrastive losses), both
+    keyed by client id in ascending order.
     """
-    records = {}
+    similarities, losses = {}, {}
     for cid in sorted(embeddings):
         raw = embeddings[cid]
         refined = distill(raw, alignment_vector(raw, z_global), beta)
-        records[cid] = AlignmentRecord(
-            similarity=cosine(refined, z_global),
-            contrastive_loss=contrastive_loss(cid, embeddings, z_global, tau_c),
-        )
-    return records
+        similarities[cid] = cosine(refined, z_global)
+        losses[cid] = contrastive_loss(cid, embeddings, z_global, tau_c)
+    return similarities, losses

@@ -30,7 +30,7 @@ class InvariantError(RuntimeError):
 
 
 class ClientSkipped(RuntimeError):
-    """Signal that a client cannot train this round and must be dropped."""
+    """A sampled client cannot train: its shard has no training data."""
 
 
 class NumericalError(RuntimeError):

@@ -181,6 +181,7 @@ def local_train(params: np.ndarray, spec: ModelSpec, shard: Shard, epochs: int,
 
     Runs ``epochs`` full passes; the last partial batch is trained on, not
     dropped. A fixed ``rng`` state makes the result bitwise reproducible.
+    Raises ``ClientSkipped`` when the shard has no training data.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")

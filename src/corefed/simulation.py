@@ -8,7 +8,6 @@ perturbs the data partition or the per-round client samples.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,12 +24,10 @@ from .checkpoint import save_ledger, write_vector
 from .config import ALGORITHMS, ExperimentConfig, IdxSource, SyntheticSource
 from .data import Shard, dirichlet_partition, gen_synthetic, load_idx, split_test
 from .embedding import build_alignment_records, client_embedding, cosine, global_embedding
-from .errors import ClientSkipped, ConfigError, ProtocolError
+from .errors import ConfigError
 from .metrics import RoundReport, evaluate_accuracy, fairness_summary
 from .nn import init_params, local_train
 from .rng import derive_seed, substream
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -91,24 +88,17 @@ def run_round(state: RunState, config: ExperimentConfig,
     losses, ``fair`` aggregates pseudo-gradients with the reward-penalty
     weights (similarity from the raw embedding unless ``align`` is on).
     With neither, no embedding pass runs and the round is plain FedAvg.
+    Every sampled client trains; a shard without training data stops the run
+    with ``ClientSkipped``.
     """
     t = state.round + 1
     align, fair = ALGORITHMS[config.algorithm]
     eta = lr_schedule(config.eta0, config.lr_decay, t)
     by_id = {shard.client_id: shard for shard in shards}
-    sampled = sample_clients(state, config)
-
-    local_models: dict[int, np.ndarray] = {}
-    for cid in sorted(sampled):
-        try:
-            local_models[cid] = local_train(
-                state.params, config.model, by_id[cid], config.local_epochs,
-                config.batch_size, eta, substream(state.seed, "shuffle", t, cid))
-        except ClientSkipped as exc:
-            logger.warning("round %d: dropping client %d (%s)", t, cid, exc)
-    if not local_models:
-        raise ProtocolError(f"round {t}: every sampled client failed to train")
-    active = sorted(local_models)
+    active = sorted(sample_clients(state, config))
+    local_models = {cid: local_train(state.params, config.model, by_id[cid], config.local_epochs,
+                                     config.batch_size, eta, substream(state.seed, "shuffle", t, cid))
+                    for cid in active}
 
     similarities: dict[int, float] = {}
     contrastives: dict[int, float | None] = {}
@@ -117,9 +107,8 @@ def run_round(state: RunState, config: ExperimentConfig,
                       for cid in active}
         z_global = global_embedding([embeddings[cid] for cid in active])
         if align:
-            records = build_alignment_records(embeddings, z_global, config.beta, config.tau_c)
-            similarities = {cid: records[cid].similarity for cid in active}
-            contrastives = {cid: records[cid].contrastive_loss for cid in active}
+            similarities, contrastives = build_alignment_records(embeddings, z_global,
+                                                                 config.beta, config.tau_c)
         else:
             similarities = {cid: cosine(embeddings[cid], z_global) for cid in active}
 

@@ -348,6 +348,7 @@ class TestAssembleRound:
             assemble_round(ledger, [1], {1: np.array([1.0])}, {1: 0.5},
                            t=2, gamma=520.0, k=2.0)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in scalar add:RuntimeWarning")
     def test_weight_total_overflow_names_round(self):
         ledger = ParticipationLedger()
         assemble_round(ledger, [1, 2, 3], {c: np.array([1.0]) for c in (1, 2, 3)},

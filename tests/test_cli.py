@@ -119,6 +119,23 @@ class TestParseConfig:
             config_from_dict({"k": 1000.0})
         assert config_from_dict({"k": 709.78}).k == 709.78
 
+    def test_learning_rate_that_reaches_zero_is_rejected(self):
+        # 0.1 * 0.001^108 and 0.1 * 0.5^1072 lie below the least subnormal
+        # float, so rounds 109 and 1073 would train at rate 0
+        for raw in ({"lr_decay": 0.001, "rounds": 120}, {"lr_decay": 0.5, "rounds": 1073}):
+            with pytest.raises(ConfigError, match="reaches 0 before the last round"):
+                config_from_dict(raw)
+        assert config_from_dict({"lr_decay": 0.001, "rounds": 108}).rounds == 108
+        assert config_from_dict({"lr_decay": 0.5, "rounds": 1072}).rounds == 1072
+        assert config_from_dict({"lr_decay": 1e-300, "rounds": 0}).rounds == 0
+
+    def test_tau_c_whose_contrastive_scores_overflow_is_rejected(self):
+        # scores cos/tau_c (|cos| <= 1) and their differences stay finite
+        # only for tau_c >= 2 / max float = 1.1e-308
+        with pytest.raises(ConfigError, match="tau_c must be at least"):
+            config_from_dict({"tau_c": 1e-310})
+        assert config_from_dict({"tau_c": 2e-308}).tau_c == 2e-308
+
     def test_non_finite_reals_are_rejected(self, tmp_path):
         path = tmp_path / "inf.json"
         path.write_text('{"eta0": Infinity, "rounds": 2}', encoding="utf-8")
@@ -288,6 +305,8 @@ class TestValidateAndEnv:
         '{"clients": true}',
         '{"algorithm": ["x"]}',
         '{"model": {"input_dim": 32, "hidden_dims": 5, "num_classes": 4}}',
+        '{"lr_decay": 0.001, "rounds": 120}',
+        '{"tau_c": 1e-310}',
     ])
     def test_validate_rejects_malformed_values(self, tmp_path, capsys, text):
         path = tmp_path / "malformed.json"

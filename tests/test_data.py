@@ -166,12 +166,10 @@ class TestSplitTest:
         ds = Dataset(np.zeros((3, 2)), np.array([0, 0, 1]), 2)
         plan = dirichlet_partition(ds, 1, 1.0, seed=0)
         # craft a 1-sample assignment directly
-        plan = type(plan)(alpha=1.0, num_clients=2, seed=0,
-                          assignment=np.array([0, 0, 1]))
+        plan = type(plan)(num_clients=2, seed=0, assignment=np.array([0, 0, 1]))
         shards = split_test(ds, plan, 0.2)
         lone = shards[1]
         assert len(lone.train) == 1 and len(lone.test) == 0
-        assert lone.test_flagged
 
     def test_same_seed_identical_split(self):
         ds = gen_synthetic(4, 4, 300, seed=2)

@@ -108,7 +108,7 @@ class TestEvaluateAccuracy:
         rng = np.random.default_rng(1)
         empty = Dataset(np.empty((0, 2)), np.empty(0, dtype=np.int64), 4)
         with_data = shard(1, rng.uniform(size=(4, 2)), rng.integers(0, 4, size=4), 4)
-        no_data = Shard(client_id=2, train=with_data.train, test=empty, test_flagged=True)
+        no_data = Shard(client_id=2, train=with_data.train, test=empty)
         mean, per_client = evaluate_accuracy(np.zeros(self.spec.num_params()), self.spec,
                                              [with_data, no_data])
         assert set(per_client) == {1}
@@ -158,7 +158,7 @@ class TestOnePassMatchesPerSliceOracle:
         for cid, n in enumerate(slice_sizes, start=1):
             test = Dataset(rng.uniform(size=(n, 5)), rng.integers(0, num_classes, size=n),
                            num_classes)
-            shards.append(Shard(client_id=cid, train=test, test=test, test_flagged=not n))
+            shards.append(Shard(client_id=cid, train=test, test=test))
         if not any(slice_sizes):
             with pytest.raises(MeasurementError):
                 evaluate_accuracy(params, spec, shards)

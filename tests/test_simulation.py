@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from corefed.aggregation import ParticipationLedger
-from corefed.config import ExperimentConfig, SyntheticSource
+from corefed.config import ALGORITHMS, ExperimentConfig, SyntheticSource
 from corefed.data import Dataset, Shard, gen_synthetic
+from corefed.errors import ClientSkipped, PartitionError
 from corefed.simulation import (
     RunState,
     build_shards,
@@ -121,6 +124,48 @@ class TestRunRound:
         (report,) = run_simulation(cfg).reports
         assert report.contrastive_losses == {}
         assert math.isnan(report.mean_contrastive_loss)
+
+
+class TestEverySampledClientTrains:
+    @given(clients=st.integers(1, 12), extra=st.integers(0, 60), num_classes=st.integers(1, 6),
+           alpha=st.floats(0.05, 10.0), test_fraction=st.floats(0.01, 0.99),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_built_shards_all_hold_training_data(self, clients, extra, num_classes, alpha,
+                                                 test_fraction, seed):
+        cfg = ExperimentConfig(clients=clients, dirichlet_alpha=alpha, test_fraction=test_fraction,
+                               seed=seed, dataset=SyntheticSource(num_classes=num_classes,
+                                                                  input_dim=2, n=clients + extra))
+        try:
+            shards = build_shards(cfg)
+        except PartitionError:
+            assume(False)
+        assert [s.client_id for s in shards] == list(range(1, clients + 1))
+        assert all(len(s.train) for s in shards)
+
+    def test_injected_shard_without_training_data_stops_the_run(self):
+        cfg = small_config(clients=3, online_per_round=3, rounds=1)
+        shards = equal_shards(3, 8)
+        no_train = shards[1].train.subset(np.empty(0, dtype=np.int64))
+        shards[1] = Shard(client_id=2, train=no_train, test=shards[1].test)
+        with pytest.raises(ClientSkipped, match=r"client 2 has no training data"):
+            run_simulation(cfg, shards=shards)
+
+    @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+    def test_report_online_is_the_sampled_draw(self, algorithm):
+        cfg = small_config(algorithm=algorithm, rounds=4)
+        shards = build_shards(cfg)
+        state = RunState(round=0, params=initial_params(cfg), ledger=ParticipationLedger(),
+                         seed=cfg.seed)
+        for _ in range(cfg.rounds):
+            drawn = sample_clients(state, cfg)
+            state, report = run_round(state, cfg, shards)
+            assert report.online == drawn
+
+    def test_smallest_accepted_tau_c_gives_finite_contrastive_losses(self):
+        (report,) = run_simulation(small_config(tau_c=2e-308, rounds=1)).reports
+        assert report.contrastive_losses
+        assert all(math.isfinite(loss) for loss in report.contrastive_losses.values())
 
 
 class TestRunExperiment:
