@@ -31,12 +31,12 @@ class ParticipationLedger:
         self.last_participation: dict[int, int] = {}
         self.last_gradient: dict[int, np.ndarray] = {}
         self.last_similarity: dict[int, float] = {}
-        self._rounds: dict[int, list[int]] = {}  # client -> sorted rounds it took part in
+        self.client_rounds: dict[int, list[int]] = {}  # client -> sorted rounds it took part in
 
     @property
     def distinct_count(self) -> int:
         """Number of distinct clients that have participated so far."""
-        return len(self._rounds)
+        return len(self.client_rounds)
 
     def record_round(self, t: int, online) -> None:
         if t in self.history:
@@ -44,14 +44,9 @@ class ParticipationLedger:
         members = frozenset(int(c) for c in online)
         self.history[t] = members
         for cid in members:
-            rounds = self._rounds.setdefault(cid, [])
+            rounds = self.client_rounds.setdefault(cid, [])
             insort(rounds, t)
             self.last_participation[cid] = rounds[-1]
-
-    def participation_count(self, client: int, first: int, last: int) -> int:
-        """Number of rounds in first..last (inclusive) the client took part in."""
-        rounds = self._rounds.get(client, ())
-        return max(0, bisect_left(rounds, last + 1) - bisect_left(rounds, first))
 
     def cache_gradient(self, client: int, grad: np.ndarray) -> None:
         self.last_gradient[client] = np.array(grad, dtype=np.float64, copy=True)
@@ -92,7 +87,8 @@ def participation_frequency(ledger: ParticipationLedger, client: int, t: int, ta
     """
     if tau < 1:
         raise ValueError("tau must be >= 1")
-    return ledger.participation_count(client, max(1, t - tau + 1), t) / tau
+    rounds = ledger.client_rounds.get(client, ())
+    return (bisect_left(rounds, t + 1) - bisect_left(rounds, max(1, t - tau + 1))) / tau
 
 
 def _sigmoid(x: float) -> float:
@@ -223,21 +219,18 @@ def assemble_round(ledger: ParticipationLedger, online, fresh_gradients: dict[in
     for cid in online:
         ledger.cache_gradient(cid, fresh_gradients[cid])
         ledger.cache_similarity(cid, fresh_similarities[cid])
-    members = set(online)
-    reused = sorted(cid for cid, last in ledger.last_participation.items()
-                    if cid not in members and t - last <= tau)
-
-    frequencies, similarities, gradients = {}, {}, {}
-    for cid in online + reused:
+    # Online members, then reused ones, each ascending: the output bits depend on this order.
+    gradients = {cid: ledger.last_gradient[cid] for cid in online}
+    for cid in sorted(ledger.last_participation.keys() - gradients.keys()):
         cached = reuse_gradient(ledger, cid, t, tau)
-        if cached is None:
-            raise InvariantError(f"client {cid} qualified for reuse but has no cached gradient")
-        frequencies[cid] = max(participation_frequency(ledger, cid, t, tau), 1.0 / tau)
-        similarities[cid] = ledger.last_similarity[cid]
-        gradients[cid] = cached
+        if cached is not None:
+            gradients[cid] = cached
+    frequencies = {cid: max(participation_frequency(ledger, cid, t, tau), 1.0 / tau)
+                   for cid in gradients}
+    similarities = {cid: ledger.last_similarity[cid] for cid in gradients}
 
     try:
-        assignment = fairness_weights(online + reused, frequencies, similarities, gamma, k,
+        assignment = fairness_weights(list(gradients), frequencies, similarities, gamma, k,
                                       window_tau=tau)
     except NumericalError as exc:
         raise NumericalError(f"round {t}: {exc}") from None

@@ -26,15 +26,15 @@ def write_vector(path, values: np.ndarray) -> None:
 
 
 def read_vector(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        header = fh.read(8)
-        if len(header) != 8:
-            raise TruncatedFileError(f"{path}: missing length prefix")
-        (count,) = struct.unpack("<Q", header)
-        payload = fh.read(count * 8)
-        if len(payload) != count * 8:
-            raise TruncatedFileError(f"{path}: expected {count} values, file too short")
-    return np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    raw = Path(path).read_bytes()
+    if len(raw) < 8:
+        raise TruncatedFileError(f"{path}: missing length prefix")
+    (count,) = struct.unpack_from("<Q", raw)
+    if len(raw) < 8 + count * 8:
+        raise TruncatedFileError(f"{path}: expected {count} values, file too short")
+    if len(raw) > 8 + count * 8:
+        raise FormatError(f"{path}: trailing bytes after {count} values")
+    return np.frombuffer(raw, dtype="<f8", offset=8).astype(np.float64)
 
 
 def _pack_vector(values: np.ndarray) -> bytes:

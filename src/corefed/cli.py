@@ -27,12 +27,19 @@ from .metrics import RoundReport
 from .simulation import run_simulation
 
 SEED_ENV_VAR = "COREFED_SEED"
-ROUNDS_HEADER = "round,mean_accuracy,d_cosine_mean,d_manhattan_mean,learning_rate,num_online,mean_contrastive_loss"
 SUMMARY_SCHEMA_VERSION = 1
 
 
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
+
+
+# The rounds.csv columns: RoundReport attributes, each with its CSV formatter.
+# summary.json's final object holds the same attributes of the last round.
+ROUND_FIELDS = (("round", str), ("mean_accuracy", _fmt), ("d_cosine_mean", _fmt),
+                ("d_manhattan_mean", _fmt), ("learning_rate", _fmt), ("num_online", str),
+                ("mean_contrastive_loss", _fmt))
+ROUNDS_HEADER = ",".join(name for name, _ in ROUND_FIELDS)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -57,15 +64,7 @@ def _fresh_dir(path: Path, overwrite: bool) -> Path:
 
 
 def _round_row(report: RoundReport) -> str:
-    return ",".join([
-        str(report.round),
-        _fmt(report.mean_accuracy),
-        _fmt(report.d_cosine_mean),
-        _fmt(report.d_manhattan_mean),
-        _fmt(report.learning_rate),
-        str(report.num_online),
-        _fmt(report.mean_contrastive_loss),
-    ])
+    return ",".join(fmt(getattr(report, name)) for name, fmt in ROUND_FIELDS)
 
 
 def write_outputs(run_dir: Path, cfg: ExperimentConfig, run_id: str,
@@ -83,17 +82,9 @@ def write_outputs(run_dir: Path, cfg: ExperimentConfig, run_id: str,
 
     final = None
     if reports:
-        last = reports[-1]
-        mean_contrast = last.mean_contrastive_loss
-        final = {
-            "round": last.round,
-            "mean_accuracy": last.mean_accuracy,
-            "d_cosine_mean": last.d_cosine_mean,
-            "d_manhattan_mean": last.d_manhattan_mean,
-            "learning_rate": last.learning_rate,
-            "num_online": last.num_online,
-            "mean_contrastive_loss": None if math.isnan(mean_contrast) else mean_contrast,
-        }
+        final = {name: getattr(reports[-1], name) for name, _ in ROUND_FIELDS}
+        if math.isnan(final["mean_contrastive_loss"]):
+            final["mean_contrastive_loss"] = None
     summary = {
         "schema_version": SUMMARY_SCHEMA_VERSION,
         "run_id": run_id,
@@ -106,6 +97,15 @@ def write_outputs(run_dir: Path, cfg: ExperimentConfig, run_id: str,
                                           encoding="utf-8")
 
 
+def _run_id(args, prefix: str, cfg: ExperimentConfig) -> str:
+    """``--run-id``, which must name one directory inside ``--out``, or a config-hash default."""
+    if args.run_id is None:
+        return f"{prefix}-{config_hash(cfg)[:12]}"
+    if args.run_id in ("", ".", "..") or Path(args.run_id).name != args.run_id:
+        raise ConfigError(f"--run-id must be one plain directory name, got {args.run_id!r}")
+    return args.run_id
+
+
 def _run_into(out: Path, run_id: str, cfg: ExperimentConfig,
               overwrite: bool = False) -> list[RoundReport]:
     """Simulate ``cfg`` into ``<out>/<run_id>`` (checkpoints included) and write its files."""
@@ -116,7 +116,7 @@ def _run_into(out: Path, run_id: str, cfg: ExperimentConfig,
 
 
 def cmd_run(cfg: ExperimentConfig, args) -> None:
-    run_id = args.run_id or f"run-{config_hash(cfg)[:12]}"
+    run_id = _run_id(args, "run", cfg)
     reports = _run_into(Path(args.out), run_id, cfg, args.overwrite)
     print(f"run {run_id}: {len(reports)} rounds -> {Path(args.out) / run_id}")
 
@@ -132,18 +132,14 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> None:
     if repeated:
         raise ConfigError(f"algorithm(s) given more than once: {', '.join(repeated)}")
     out = Path(args.out)
-    run_id = args.run_id or f"sweep-{config_hash(cfg)[:12]}"
+    run_id = _run_id(args, "sweep", cfg)
     sweep_dir = _fresh_dir(out / run_id, args.overwrite)
     comparison = ["algorithm,accuracy,d_cosine,d_manhattan"]
     for algorithm in algorithms:
         reports = _run_into(out, f"{run_id}/{algorithm}", replace(cfg, algorithm=algorithm))
-        last = reports[-1] if reports else None
-        comparison.append(",".join([
-            algorithm,
-            _fmt(last.mean_accuracy) if last else "nan",
-            _fmt(last.d_cosine_mean) if last else "nan",
-            _fmt(last.d_manhattan_mean) if last else "nan",
-        ]))
+        finals = [getattr(reports[-1], name) if reports else math.nan
+                  for name in ("mean_accuracy", "d_cosine_mean", "d_manhattan_mean")]
+        comparison.append(",".join([algorithm, *map(_fmt, finals)]))
     (sweep_dir / "comparison.csv").write_text("\n".join(comparison) + "\n", encoding="utf-8")
     print(f"sweep {run_id}: {', '.join(algorithms)} -> {sweep_dir}")
 

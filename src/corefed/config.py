@@ -157,6 +157,8 @@ def _validate(cfg: ExperimentConfig) -> None:
                 raise ConfigError(f"dataset.{name} must be an integer")
         _require(src.num_classes >= 1 and src.input_dim >= 1 and src.n >= 1,
                  "dataset.num_classes, dataset.input_dim and dataset.n must be positive")
+        _require(cfg.clients <= src.n, f"clients ({cfg.clients}) must be at most dataset.n "
+                                       f"({src.n}): every client needs a sample")
         _require(cfg.model.input_dim == src.input_dim,
                  "model.input_dim must match dataset.input_dim")
         _require(cfg.model.num_classes == src.num_classes,

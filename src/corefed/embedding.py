@@ -49,16 +49,13 @@ def global_embedding(embeddings: list[np.ndarray]) -> np.ndarray:
     """Arithmetic mean of the participating clients' embeddings."""
     if not embeddings:
         raise ProtocolError("global embedding needs at least one client embedding")
-    stacked = np.stack(embeddings)
-    if stacked.ndim != 2:
-        raise ProtocolError("client embeddings have mismatched lengths")
-    return stacked.mean(axis=0)
+    return np.stack(embeddings).mean(axis=0)
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity clamped to [-1, 1]; 0 when either input is near-zero."""
     if a.shape != b.shape:
-        raise ValueError("embeddings have different lengths")
+        raise ValueError("vectors have different lengths")
     norm_a = np.linalg.norm(a)
     norm_b = np.linalg.norm(b)
     if norm_a < _NORM_EPS or norm_b < _NORM_EPS:

@@ -8,10 +8,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Shard
+from .embedding import _NORM_EPS, cosine
 from .errors import MeasurementError
 from .nn import Batch, ModelSpec, forward
-
-_NORM_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -40,13 +39,9 @@ class RoundReport:
 
 def d_cosine(client_params: np.ndarray, global_params: np.ndarray) -> float:
     """Angular distance arccos(cos(client, global)) in [0, pi] radians."""
-    if client_params.shape != global_params.shape:
-        raise ValueError("parameter vectors have different lengths")
-    norm_c = np.linalg.norm(client_params)
-    norm_g = np.linalg.norm(global_params)
-    if norm_c < _NORM_EPS or norm_g < _NORM_EPS:
+    if np.linalg.norm(client_params) < _NORM_EPS or np.linalg.norm(global_params) < _NORM_EPS:
         raise MeasurementError("angular distance undefined for zero-norm parameters")
-    return float(np.arccos(np.clip(np.dot(client_params, global_params) / (norm_c * norm_g), -1.0, 1.0)))
+    return float(np.arccos(cosine(client_params, global_params)))
 
 
 def d_manhattan(client_params: np.ndarray, global_params: np.ndarray) -> float:

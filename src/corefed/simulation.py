@@ -70,6 +70,9 @@ def build_shards(config: ExperimentConfig) -> list[Shard]:
         if dataset.num_classes > config.model.num_classes:
             raise ConfigError(f"model.num_classes {config.model.num_classes} is too small "
                               f"for loaded labels ({dataset.num_classes} classes)")
+        if config.clients > len(dataset):
+            raise ConfigError(f"clients ({config.clients}) must be at most the "
+                              f"{len(dataset)} loaded samples: every client needs one")
     plan = dirichlet_partition(dataset, config.clients, config.dirichlet_alpha,
                                seed=derive_seed(config.seed, "partition"))
     return split_test(dataset, plan, config.test_fraction)
@@ -147,7 +150,6 @@ def run_round(state: RunState, config: ExperimentConfig,
 @dataclass
 class SimulationResult:
     reports: list[RoundReport]
-    initial_params: np.ndarray
     final_params: np.ndarray
 
 
@@ -161,8 +163,7 @@ def run_simulation(config: ExperimentConfig, shards: list[Shard] | None = None,
     """
     if shards is None:
         shards = build_shards(config)
-    start = initial_params(config)
-    state = RunState(round=0, params=start.copy(), ledger=ParticipationLedger(), seed=config.seed)
+    state = RunState(0, initial_params(config), ParticipationLedger(), config.seed)
     reports: list[RoundReport] = []
     for _ in range(config.rounds):
         state, report = run_round(state, config, shards)
@@ -170,7 +171,7 @@ def run_simulation(config: ExperimentConfig, shards: list[Shard] | None = None,
         if (checkpoint_dir is not None and config.checkpoint_interval > 0
                 and state.round % config.checkpoint_interval == 0):
             _write_checkpoint(Path(checkpoint_dir), state)
-    return SimulationResult(reports=reports, initial_params=start, final_params=state.params)
+    return SimulationResult(reports=reports, final_params=state.params)
 
 
 def _write_checkpoint(root: Path, state: RunState) -> None:

@@ -40,6 +40,13 @@ class TestVectorFile:
         with pytest.raises(TruncatedFileError):
             read_vector(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "vec.bin"
+        write_vector(path, np.array([1.0, 2.0]))
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(FormatError, match="trailing bytes"):
+            read_vector(path)
+
 
 class TestLedgerCheckpoint:
     def test_round_trip_restores_everything(self, tmp_path):

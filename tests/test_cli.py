@@ -136,6 +136,12 @@ class TestParseConfig:
             config_from_dict({"tau_c": 1e-310})
         assert config_from_dict({"tau_c": 2e-308}).tau_c == 2e-308
 
+    def test_more_clients_than_samples_is_rejected(self, tmp_path):
+        path = write_config(tmp_path, {"clients": 3000, "dataset": {"n": 2000}})
+        with pytest.raises(ConfigError, match=r"clients \(3000\) must be at most dataset.n"):
+            parse_config(path)
+        assert config_from_dict({"clients": 2000, "dataset": {"n": 2000}}).clients == 2000
+
     def test_non_finite_reals_are_rejected(self, tmp_path):
         path = tmp_path / "inf.json"
         path.write_text('{"eta0": Infinity, "rounds": 2}', encoding="utf-8")
@@ -187,6 +193,34 @@ class TestCmdRun:
         assert main(args) == 0
         assert main(args) == 1
         assert main(args + ["--overwrite"]) == 0
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--algorithms", "fedavg"]])
+    @pytest.mark.parametrize("run_id", ["../victim", "<absolute victim>", "", ".", "..", "a/b"])
+    def test_run_id_must_be_one_plain_directory_name(self, tmp_path, capsys, command, run_id):
+        config = write_config(tmp_path, {**SMALL, "rounds": 1})
+        victim = tmp_path / "victim"
+        victim.mkdir()
+        (victim / "keep.txt").write_text("kept", encoding="utf-8")
+        out = tmp_path / "out"
+        run_id = str(victim) if run_id == "<absolute victim>" else run_id
+        code = main([*command, "--config", str(config), "--out", str(out),
+                     "--run-id", run_id, "--overwrite"])
+        assert code == 1
+        assert "--run-id must be one plain directory name" in capsys.readouterr().err
+        assert (victim / "keep.txt").read_text(encoding="utf-8") == "kept"
+        assert not out.exists()
+
+    def test_learning_rate_is_formatted_by_column_not_by_type(self, tmp_path):
+        # An integer eta0 with lr_decay 1 makes the rate an int: rounds.csv
+        # still prints it as a float column, summary.json keeps the int.
+        config = write_config(tmp_path, {"algorithm": "fedavg", "rounds": 1, "local_epochs": 0,
+                                         "eta0": 100000000000000000, "lr_decay": 1})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out), "--run-id", "r"]) == 0
+        header, row = (out / "r" / "rounds.csv").read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["learning_rate"] == "1e+17"
+        summary = (out / "r" / "summary.json").read_text()
+        assert '"learning_rate": 100000000000000000,' in summary
 
     def test_summary_final_matches_last_csv_row(self, tmp_path):
         config = write_config(tmp_path, SMALL)
@@ -307,6 +341,7 @@ class TestValidateAndEnv:
         '{"model": {"input_dim": 32, "hidden_dims": 5, "num_classes": 4}}',
         '{"lr_decay": 0.001, "rounds": 120}',
         '{"tau_c": 1e-310}',
+        '{"clients": 3000, "dataset": {"n": 2000}}',
     ])
     def test_validate_rejects_malformed_values(self, tmp_path, capsys, text):
         path = tmp_path / "malformed.json"
@@ -343,31 +378,42 @@ class TestSyntheticDefaults:
         assert len(run_simulation(cfg).reports) == 1
 
 
+def write_idx_config(tmp_path, n, clients):
+    """A small image/label pair in the binary IDX layout and a config that reads it."""
+    import struct
+
+    import numpy as np
+
+    from corefed.data import IDX1_MAGIC, IDX3_MAGIC, gen_synthetic
+
+    ds = gen_synthetic(3, 16, n, seed=4)
+    pixels = (ds.inputs * 255).astype(np.uint8).tobytes()
+    (tmp_path / "imgs.idx3").write_bytes(struct.pack(">IIII", IDX3_MAGIC, n, 4, 4) + pixels)
+    (tmp_path / "labs.idx1").write_bytes(struct.pack(">II", IDX1_MAGIC, n)
+                                         + ds.labels.astype(np.uint8).tobytes())
+    return write_config(tmp_path, {
+        "rounds": 2, "clients": clients, "online_per_round": 2, "batch_size": 16, "seed": 2,
+        "dataset": {"kind": "idx", "images": str(tmp_path / "imgs.idx3"),
+                    "labels": str(tmp_path / "labs.idx1")},
+        "model": {"input_dim": 16, "hidden_dims": [8, 8], "num_classes": 3},
+    })
+
+
 class TestIdxEndToEnd:
     def test_run_from_idx_files(self, tmp_path):
-        # write a small image/label pair in the binary IDX layout, then drive
-        # a full 2-round experiment from it through the CLI
-        import struct
-
-        import numpy as np
-
-        from corefed.data import IDX1_MAGIC, IDX3_MAGIC, gen_synthetic
-
-        ds = gen_synthetic(3, 16, 240, seed=4)
-        pixels = (ds.inputs * 255).astype(np.uint8).tobytes()
-        (tmp_path / "imgs.idx3").write_bytes(struct.pack(">IIII", IDX3_MAGIC, 240, 4, 4) + pixels)
-        (tmp_path / "labs.idx1").write_bytes(struct.pack(">II", IDX1_MAGIC, 240)
-                                             + ds.labels.astype(np.uint8).tobytes())
-        config = write_config(tmp_path, {
-            "rounds": 2, "clients": 3, "online_per_round": 2, "batch_size": 16, "seed": 2,
-            "dataset": {"kind": "idx", "images": str(tmp_path / "imgs.idx3"),
-                        "labels": str(tmp_path / "labs.idx1")},
-            "model": {"input_dim": 16, "hidden_dims": [8, 8], "num_classes": 3},
-        })
+        # drive a full 2-round experiment from IDX files through the CLI
+        config = write_idx_config(tmp_path, n=240, clients=3)
         out = tmp_path / "out"
         assert main(["run", "--config", str(config), "--out", str(out), "--run-id", "idx"]) == 0
         rows = (out / "idx" / "rounds.csv").read_text().splitlines()
         assert len(rows) == 3
+
+    def test_more_clients_than_loaded_samples_is_rejected(self, tmp_path):
+        from corefed.simulation import build_shards
+
+        cfg = parse_config(write_idx_config(tmp_path, n=6, clients=7))
+        with pytest.raises(ConfigError, match=r"clients \(7\) must be at most the 6 loaded"):
+            build_shards(cfg)
 
 
 # sha256 of each algorithm's output files for GOLDEN_CONFIG. Recorded before

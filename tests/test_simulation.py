@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,8 +174,7 @@ class TestRunExperiment:
         cfg = small_config(rounds=0)
         result = run_simulation(cfg)
         assert result.reports == []
-        np.testing.assert_array_equal(result.final_params, result.initial_params)
-        np.testing.assert_array_equal(result.initial_params, initial_params(cfg))
+        np.testing.assert_array_equal(result.final_params, initial_params(cfg))
 
     def test_full_determinism_of_report_stream(self):
         cfg = small_config(rounds=4)
@@ -232,3 +232,12 @@ class TestNeutralReductionSmall:
         fair = run_simulation(ExperimentConfig(algorithm="corefed", **base), shards=shards)
         plain = run_simulation(ExperimentConfig(algorithm="fedavg", **base), shards=shards)
         np.testing.assert_allclose(fair.final_params, plain.final_params, atol=1e-9)
+
+
+class TestBenchmarkTracerNames:
+    def test_every_name_the_benchmark_wraps_exists_unwrapped(self, monkeypatch):
+        # perfbench/tracer.py reads each traced function off its corefed module
+        # at import, so a renamed or deleted one fails this import.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import tracer
+        assert tracer.untraced_problems() == []
