@@ -23,13 +23,17 @@ _SIMPLEX_TOL = 1e-9
 class ParticipationLedger:
     """Per-client participation history plus cached gradients/similarities.
 
-    Mutated only during the serial aggregation phase of each round.
+    Mutated only during the serial aggregation phase of each round. Cached
+    gradients are stored read-only, so ``gradient_digests`` (the sha256 of a
+    gradient's checkpoint record, filled by ``checkpoint.save_ledger``) stays
+    valid until ``cache_gradient`` replaces that gradient.
     """
 
     def __init__(self):
         self.history: dict[int, frozenset[int]] = {}
         self.last_participation: dict[int, int] = {}
         self.last_gradient: dict[int, np.ndarray] = {}
+        self.gradient_digests: dict[int, str] = {}
         self.last_similarity: dict[int, float] = {}
         self.client_rounds: dict[int, list[int]] = {}  # client -> sorted rounds it took part in
 
@@ -49,7 +53,10 @@ class ParticipationLedger:
             self.last_participation[cid] = rounds[-1]
 
     def cache_gradient(self, client: int, grad: np.ndarray) -> None:
-        self.last_gradient[client] = np.array(grad, dtype=np.float64, copy=True)
+        cached = np.array(grad, dtype=np.float64, copy=True)
+        cached.flags.writeable = False
+        self.last_gradient[client] = cached
+        self.gradient_digests.pop(client, None)
 
     def cache_similarity(self, client: int, similarity: float) -> None:
         self.last_similarity[client] = float(similarity)

@@ -12,9 +12,12 @@ import math
 import os
 import shutil
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
+from .checkpoint import atomic_write
 from .config import (
     ALGORITHMS,
     ExperimentConfig,
@@ -54,13 +57,23 @@ def load_config(path) -> ExperimentConfig:
     return cfg
 
 
-def _fresh_dir(path: Path, overwrite: bool) -> Path:
+@contextmanager
+def _fresh_dir(path: Path, overwrite: bool) -> Iterator[Path]:
+    """Make ``path`` for a run; remove it again if the run fails inside the block."""
     if path.exists():
         if not overwrite:
             raise FileExistsError(f"run directory {path} exists; pass --overwrite to replace it")
         shutil.rmtree(path)
     path.mkdir(parents=True)
-    return path
+    try:
+        yield path
+    except BaseException:
+        shutil.rmtree(path, ignore_errors=True)
+        raise
+
+
+def _write_text(path: Path, text: str) -> None:
+    atomic_write(path, [text.encode("utf-8")])
 
 
 def _round_row(report: RoundReport) -> str:
@@ -69,16 +82,16 @@ def _round_row(report: RoundReport) -> str:
 
 def write_outputs(run_dir: Path, cfg: ExperimentConfig, run_id: str,
                   reports: list[RoundReport]) -> None:
-    (run_dir / "config.json").write_text(dumps_config(cfg), encoding="utf-8")
+    _write_text(run_dir / "config.json", dumps_config(cfg))
 
     lines = [ROUNDS_HEADER] + [_round_row(r) for r in reports]
-    (run_dir / "rounds.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(run_dir / "rounds.csv", "\n".join(lines) + "\n")
 
     acc_lines = ["round,client_id,accuracy"]
     for report in reports:
         for cid in sorted(report.per_client_accuracy):
             acc_lines.append(f"{report.round},{cid},{_fmt(report.per_client_accuracy[cid])}")
-    (run_dir / "per_client_accuracy.csv").write_text("\n".join(acc_lines) + "\n", encoding="utf-8")
+    _write_text(run_dir / "per_client_accuracy.csv", "\n".join(acc_lines) + "\n")
 
     final = None
     if reports:
@@ -93,8 +106,7 @@ def write_outputs(run_dir: Path, cfg: ExperimentConfig, run_id: str,
         "rounds": len(reports),
         "final": final,
     }
-    (run_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
-                                          encoding="utf-8")
+    _write_text(run_dir / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
 def _run_id(args, prefix: str, cfg: ExperimentConfig) -> str:
@@ -109,9 +121,9 @@ def _run_id(args, prefix: str, cfg: ExperimentConfig) -> str:
 def _run_into(out: Path, run_id: str, cfg: ExperimentConfig,
               overwrite: bool = False) -> list[RoundReport]:
     """Simulate ``cfg`` into ``<out>/<run_id>`` (checkpoints included) and write its files."""
-    run_dir = _fresh_dir(out / run_id, overwrite)
-    reports = run_simulation(cfg, checkpoint_dir=run_dir).reports
-    write_outputs(run_dir, cfg, run_id, reports)
+    with _fresh_dir(out / run_id, overwrite) as run_dir:
+        reports = run_simulation(cfg, checkpoint_dir=run_dir).reports
+        write_outputs(run_dir, cfg, run_id, reports)
     return reports
 
 
@@ -133,14 +145,14 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> None:
         raise ConfigError(f"algorithm(s) given more than once: {', '.join(repeated)}")
     out = Path(args.out)
     run_id = _run_id(args, "sweep", cfg)
-    sweep_dir = _fresh_dir(out / run_id, args.overwrite)
-    comparison = ["algorithm,accuracy,d_cosine,d_manhattan"]
-    for algorithm in algorithms:
-        reports = _run_into(out, f"{run_id}/{algorithm}", replace(cfg, algorithm=algorithm))
-        finals = [getattr(reports[-1], name) if reports else math.nan
-                  for name in ("mean_accuracy", "d_cosine_mean", "d_manhattan_mean")]
-        comparison.append(",".join([algorithm, *map(_fmt, finals)]))
-    (sweep_dir / "comparison.csv").write_text("\n".join(comparison) + "\n", encoding="utf-8")
+    with _fresh_dir(out / run_id, args.overwrite) as sweep_dir:
+        comparison = ["algorithm,accuracy,d_cosine,d_manhattan"]
+        for algorithm in algorithms:
+            reports = _run_into(out, f"{run_id}/{algorithm}", replace(cfg, algorithm=algorithm))
+            finals = [getattr(reports[-1], name) if reports else math.nan
+                      for name in ("mean_accuracy", "d_cosine_mean", "d_manhattan_mean")]
+            comparison.append(",".join([algorithm, *map(_fmt, finals)]))
+        _write_text(sweep_dir / "comparison.csv", "\n".join(comparison) + "\n")
     print(f"sweep {run_id}: {', '.join(algorithms)} -> {sweep_dir}")
 
 

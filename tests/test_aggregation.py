@@ -50,6 +50,20 @@ class TestLedger:
         with pytest.raises(InvariantError):
             ledger.record_round(1, {2})
 
+    def test_cached_gradient_is_a_read_only_copy(self):
+        # A checkpoint keeps each cached gradient's digest until the client's
+        # next cache_gradient, so nothing may rewrite the cached bytes in place.
+        ledger = ParticipationLedger()
+        source = np.array([1.0, 2.0])
+        ledger.cache_gradient(1, source)
+        source[0] = 5.0
+        assert ledger.last_gradient[1].tolist() == [1.0, 2.0]
+        with pytest.raises(ValueError, match="read-only"):
+            ledger.last_gradient[1][0] = 3.0
+        with pytest.raises(ValueError, match="read-only"):
+            ledger.last_gradient[1] += 1.0
+        assert ledger.last_gradient[1].tolist() == [1.0, 2.0]
+
 
 class TestWeightAssignment:
     @pytest.mark.parametrize("weights", [{1: math.nan, 2: 1.0}, {1: math.nan, 2: math.nan},

@@ -1,9 +1,20 @@
+import errno
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from corefed import checkpoint
 from corefed.aggregation import ParticipationLedger
 from corefed.checkpoint import load_ledger, read_vector, save_ledger, write_vector
+from corefed.config import ExperimentConfig, SyntheticSource
 from corefed.errors import FormatError, TruncatedFileError
+from corefed.simulation import run_simulation
 
 
 def sample_ledger():
@@ -75,3 +86,109 @@ class TestLedgerCheckpoint:
         (tmp_path / "gradients.bin").write_bytes(blob[:-3])
         with pytest.raises(TruncatedFileError):
             load_ledger(tmp_path / "ledger.json", tmp_path / "gradients.bin")
+
+
+def memo_free_copy(ledger):
+    """A ledger with the same contents, rebuilt through the public mutators."""
+    copy = ParticipationLedger()
+    for t, members in ledger.history.items():
+        copy.record_round(t, members)
+    for cid, similarity in ledger.last_similarity.items():
+        copy.cache_similarity(cid, similarity)
+    for cid, grad in ledger.last_gradient.items():
+        copy.cache_gradient(cid, grad)
+    return copy
+
+
+ledger_ops = st.lists(st.one_of(
+    st.tuples(st.just("record"), st.sets(st.integers(1, 4), max_size=4)),
+    st.tuples(st.just("cache"), st.integers(1, 4), st.lists(st.floats(), max_size=3)),
+    st.tuples(st.just("save"), st.booleans()),
+), max_size=25)
+
+
+class TestDigestMemo:
+    """save_ledger hashes a gradient once per cache_gradient; the kept digest must never go stale."""
+
+    @given(ledger_ops)
+    @settings(max_examples=80, deadline=None)
+    def test_every_save_matches_a_save_without_memo(self, ops):
+        ledger = ParticipationLedger()
+        t = 0
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            for op, *args in ops + [("save", False)]:
+                if op == "record":
+                    t += 1
+                    ledger.record_round(t, args[0])
+                elif op == "cache":
+                    ledger.cache_gradient(args[0], np.array(args[1], dtype=np.float64))
+                else:
+                    save_ledger(ledger, root / "ledger.json", root / "gradients.bin")
+                    save_ledger(memo_free_copy(ledger), root / "fresh.json", root / "fresh.bin")
+                    manifest = (root / "ledger.json").read_bytes()
+                    blob = (root / "gradients.bin").read_bytes()
+                    assert manifest == (root / "fresh.json").read_bytes()
+                    assert blob == (root / "fresh.bin").read_bytes()
+                    offset = 0
+                    for entry in json.loads(manifest)["gradient_cache"]:
+                        end = offset + 8 + 8 * entry["length"]
+                        assert hashlib.sha256(blob[offset:end]).hexdigest() == entry["sha256"]
+                        offset = end
+                    assert offset == len(blob)
+                    if args[0]:  # carry on from the checkpoint, with the digests load verified
+                        ledger = load_ledger(root / "ledger.json", root / "gradients.bin")
+
+
+class DiskFull:
+    """A file whose first write lands and whose second fails, as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, chunk):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.fh.write(chunk)
+
+
+class TestAtomicWrites:
+    CONFIG = ExperimentConfig(rounds=3, clients=5, online_per_round=0.4, seed=7, batch_size=16,
+                              checkpoint_interval=1,
+                              dataset=SyntheticSource(num_classes=3, input_dim=6, n=240))
+
+    def test_failed_checkpoint_write_leaves_no_torn_or_stray_file(self, tmp_path, monkeypatch):
+        clean, torn = tmp_path / "clean", tmp_path / "torn"
+        run_simulation(self.CONFIG, checkpoint_dir=clean)
+
+        def failing_open(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+            return DiskFull(fh) if Path(path) == torn / "round_2" / "gradients.bin.tmp" else fh
+
+        monkeypatch.setattr(checkpoint, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            run_simulation(self.CONFIG, checkpoint_dir=torn)
+
+        written = sorted(p.relative_to(torn).as_posix() for p in torn.rglob("*") if p.is_file())
+        assert written == ["round_1/global.bin", "round_1/gradients.bin", "round_1/ledger.json",
+                           "round_2/global.bin"]
+        for name in written:
+            assert (torn / name).read_bytes() == (clean / name).read_bytes(), name
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "vec.bin"
+        write_vector(path, np.array([1.0, 2.0]))
+        monkeypatch.setattr(checkpoint, "open", lambda p, *a, **k: DiskFull(open(p, *a, **k)),
+                            raising=False)
+        with pytest.raises(OSError):
+            write_vector(path, np.array([3.0]))
+        np.testing.assert_array_equal(read_vector(path), [1.0, 2.0])
+        assert [p.name for p in tmp_path.iterdir()] == ["vec.bin"]

@@ -408,6 +408,24 @@ class TestIdxEndToEnd:
         rows = (out / "idx" / "rounds.csv").read_text().splitlines()
         assert len(rows) == 3
 
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--algorithms", "fedavg"]])
+    def test_failed_run_leaves_no_directory_and_reruns_the_same(self, tmp_path, capsys, command):
+        config = write_idx_config(tmp_path, n=6, clients=7)
+        out = tmp_path / "out"
+        args = [*command, "--config", str(config), "--out", str(out), "--run-id", "x"]
+        for _ in range(2):
+            assert main(args) == 1
+            assert "clients (7) must be at most the 6 loaded" in capsys.readouterr().err
+            assert not (out / "x").exists()
+
+    def test_refused_run_keeps_the_existing_directory(self, tmp_path):
+        config = write_idx_config(tmp_path, n=6, clients=7)
+        (tmp_path / "out" / "x").mkdir(parents=True)
+        (tmp_path / "out" / "x" / "keep.txt").write_text("mine")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out"),
+                     "--run-id", "x"]) == 1
+        assert (tmp_path / "out" / "x" / "keep.txt").read_text() == "mine"
+
     def test_more_clients_than_loaded_samples_is_rejected(self, tmp_path):
         from corefed.simulation import build_shards
 

@@ -216,6 +216,17 @@ class TestRunExperiment:
             assert (tmp_path / f"round_{t}" / "gradients.bin").exists()
         assert not (tmp_path / "round_1").exists()
 
+    def test_every_checkpoint_of_a_run_loads(self, tmp_path):
+        # Later checkpoints reuse digests kept from earlier ones; each must still verify.
+        from corefed.checkpoint import load_ledger
+        cfg = small_config(algorithm="corefed", rounds=6, checkpoint_interval=1)
+        run_simulation(cfg, checkpoint_dir=tmp_path)
+        for t in range(1, cfg.rounds + 1):
+            round_dir = tmp_path / f"round_{t}"
+            ledger = load_ledger(round_dir / "ledger.json", round_dir / "gradients.bin")
+            assert sorted(ledger.history) == list(range(1, t + 1))
+            assert ledger.last_gradient.keys() == ledger.last_participation.keys()
+
     def test_checkpoint_global_matches_state(self, tmp_path):
         from corefed.checkpoint import read_vector
         cfg = small_config(rounds=2, checkpoint_interval=2)
