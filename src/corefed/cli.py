@@ -12,6 +12,7 @@ import math
 import os
 import shutil
 import sys
+import tempfile
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import replace
@@ -59,17 +60,26 @@ def load_config(path) -> ExperimentConfig:
 
 @contextmanager
 def _fresh_dir(path: Path, overwrite: bool) -> Iterator[Path]:
-    """Make ``path`` for a run; remove it again if the run fails inside the block."""
-    if path.exists():
-        if not overwrite:
-            raise FileExistsError(f"run directory {path} exists; pass --overwrite to replace it")
-        shutil.rmtree(path)
-    path.mkdir(parents=True)
+    """Yield a new directory to build a run in; it becomes ``path`` only if the block succeeds.
+
+    The run is built inside a hidden sibling of ``path``. A ``path`` that
+    already exists (``--overwrite``) is swapped out after the block returns,
+    so a failed run leaves the previous one as it was and no directory of
+    its own.
+    """
+    if path.exists() and not overwrite:
+        raise FileExistsError(f"run directory {path} exists; pass --overwrite to replace it")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{path.name}.", dir=path.parent))
     try:
-        yield path
-    except BaseException:
-        shutil.rmtree(path, ignore_errors=True)
-        raise
+        build = staging / "run"
+        build.mkdir()
+        yield build
+        if path.exists():
+            os.replace(path, staging / "replaced")
+        os.replace(build, path)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -118,10 +128,10 @@ def _run_id(args, prefix: str, cfg: ExperimentConfig) -> str:
     return args.run_id
 
 
-def _run_into(out: Path, run_id: str, cfg: ExperimentConfig,
+def _run_into(path: Path, run_id: str, cfg: ExperimentConfig,
               overwrite: bool = False) -> list[RoundReport]:
-    """Simulate ``cfg`` into ``<out>/<run_id>`` (checkpoints included) and write its files."""
-    with _fresh_dir(out / run_id, overwrite) as run_dir:
+    """Simulate ``cfg`` into the run directory ``path`` (checkpoints included) and write its files."""
+    with _fresh_dir(path, overwrite) as run_dir:
         reports = run_simulation(cfg, checkpoint_dir=run_dir).reports
         write_outputs(run_dir, cfg, run_id, reports)
     return reports
@@ -129,7 +139,7 @@ def _run_into(out: Path, run_id: str, cfg: ExperimentConfig,
 
 def cmd_run(cfg: ExperimentConfig, args) -> None:
     run_id = _run_id(args, "run", cfg)
-    reports = _run_into(Path(args.out), run_id, cfg, args.overwrite)
+    reports = _run_into(Path(args.out) / run_id, run_id, cfg, args.overwrite)
     print(f"run {run_id}: {len(reports)} rounds -> {Path(args.out) / run_id}")
 
 
@@ -148,12 +158,13 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> None:
     with _fresh_dir(out / run_id, args.overwrite) as sweep_dir:
         comparison = ["algorithm,accuracy,d_cosine,d_manhattan"]
         for algorithm in algorithms:
-            reports = _run_into(out, f"{run_id}/{algorithm}", replace(cfg, algorithm=algorithm))
+            reports = _run_into(sweep_dir / algorithm, f"{run_id}/{algorithm}",
+                                replace(cfg, algorithm=algorithm))
             finals = [getattr(reports[-1], name) if reports else math.nan
                       for name in ("mean_accuracy", "d_cosine_mean", "d_manhattan_mean")]
             comparison.append(",".join([algorithm, *map(_fmt, finals)]))
         _write_text(sweep_dir / "comparison.csv", "\n".join(comparison) + "\n")
-    print(f"sweep {run_id}: {', '.join(algorithms)} -> {sweep_dir}")
+    print(f"sweep {run_id}: {', '.join(algorithms)} -> {out / run_id}")
 
 
 def cmd_validate(cfg: ExperimentConfig, args) -> None:

@@ -4,6 +4,10 @@ Client embeddings are means of unit-normalized per-sample feature vectors;
 the global embedding is their mean over the round's participants. The
 contrastive score is a logged diagnostic only: weight effects flow entirely
 through the alignment/distillation path and the similarity it produces.
+
+Arguments are trusted: beta and tau_c come from a validated config, each
+embedding map is keyed by the round's participants, and every shard passed
+to ``client_embedding`` has already trained this round.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ import logging
 import numpy as np
 
 from .data import Shard
-from .errors import ConfigError, ProtocolError
-from .nn import Batch, ModelSpec, forward
+from .errors import ProtocolError
+from .nn import ModelSpec, forward
 
 logger = logging.getLogger(__name__)
 
@@ -28,9 +32,7 @@ def client_embedding(params: np.ndarray, spec: ModelSpec, shard: Shard) -> np.nd
     every sample degenerates the result is the zero vector (warned, training
     proceeds).
     """
-    if not len(shard.train):
-        raise ProtocolError(f"client {shard.client_id} has no training data to embed")
-    features, _ = forward(params, spec, Batch(shard.train.inputs, shard.train.labels))
+    features, _ = forward(params, spec, shard.train)
     norms = np.linalg.norm(features, axis=1)
     usable = norms >= _NORM_EPS
     skipped = int((~usable).sum())
@@ -70,10 +72,6 @@ def contrastive_loss(i: int, embeddings: dict[int, np.ndarray], z_global: np.nda
     Positive pair is (client, global); negatives are the other clients'
     embeddings. Undefined with a single participant (returns None, never 0).
     """
-    if tau_c <= 0:
-        raise ConfigError("tau_c must be positive")
-    if i not in embeddings:
-        raise KeyError(f"client {i} not among round embeddings")
     if len(embeddings) < 2:
         return None
     z_i = embeddings[i]
@@ -91,8 +89,6 @@ def alignment_vector(z_i: np.ndarray, z_global: np.ndarray) -> np.ndarray:
 
 def distill(z_i: np.ndarray, z_align: np.ndarray, beta: float) -> np.ndarray:
     """Convex pull of the client embedding toward its alignment target."""
-    if not 0.0 <= beta <= 1.0:
-        raise ConfigError("beta must lie in [0,1]")
     return z_i + beta * (z_align - z_i)
 
 

@@ -7,10 +7,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Shard
+from .data import Dataset, Shard
 from .embedding import _NORM_EPS, cosine
 from .errors import MeasurementError
-from .nn import Batch, ModelSpec, forward
+from .nn import ModelSpec, forward
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ def evaluate_accuracy(global_params: np.ndarray, spec: ModelSpec,
         raise MeasurementError("no shard has a non-empty test slice")
     labels = np.concatenate([shard.test.labels for shard in tested])
     inputs = np.concatenate([shard.test.inputs for shard in tested])
-    _, logits = forward(global_params, spec, Batch(inputs, labels))
+    _, logits = forward(global_params, spec, Dataset(inputs, labels, spec.num_classes))
     sizes = [len(shard.test) for shard in tested]
     starts = np.cumsum([0, *sizes[:-1]])
     hits = np.add.reduceat((logits.argmax(axis=1) == labels).astype(np.int64), starts)

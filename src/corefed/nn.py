@@ -5,6 +5,11 @@ embedding; a final linear layer produces class logits. All parameters live
 in one flat float64 vector with a deterministic layer-major layout
 (per layer: weight matrix row-major, then bias), so federated aggregation
 is plain vector arithmetic.
+
+Arguments are trusted: the data a function receives fits its ``ModelSpec``
+(checked once per run by config validation, ``simulation.build_shards`` or
+``simulation.run_simulation``), and rates and batch sizes come from a
+validated config. Nothing here re-checks them per call.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Shard
+from .data import Dataset, Shard
 from .errors import ClientSkipped, ConfigError
 
 
@@ -61,18 +66,6 @@ class ModelSpec:
         return sum((fi + 1) * fo for fi, fo in self.layer_shapes())
 
 
-@dataclass(frozen=True)
-class Batch:
-    inputs: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        if self.inputs.ndim != 2 or self.labels.ndim != 1:
-            raise ValueError("inputs must be (batch, dim), labels must be (batch,)")
-        if len(self.inputs) != len(self.labels) or not len(self.inputs):
-            raise ValueError("batch must be non-empty with matching inputs/labels")
-
-
 def unflatten(params: np.ndarray, spec: ModelSpec) -> list[tuple[np.ndarray, np.ndarray]]:
     """Split the flat vector into per-layer (W, b) views (no copies)."""
     if params.shape != (spec.num_params(),):
@@ -109,18 +102,10 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
     return flatten(layers)
 
 
-def _check_batch(spec: ModelSpec, batch: Batch) -> None:
-    if batch.inputs.shape[1] != spec.input_dim:
-        raise ConfigError(f"batch input dim {batch.inputs.shape[1]} != spec input_dim {spec.input_dim}")
-    if len(batch.labels) and (batch.labels.min() < 0 or batch.labels.max() >= spec.num_classes):
-        raise ConfigError("batch labels out of range for spec.num_classes")
-
-
-def forward(params: np.ndarray, spec: ModelSpec, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
+def forward(params: np.ndarray, spec: ModelSpec, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Return (embeddings, logits): last hidden activations and class scores."""
-    _check_batch(spec, batch)
     layers = unflatten(params, spec)
-    activation = batch.inputs
+    activation = data.inputs
     for w, b in layers[:-1]:
         activation = np.maximum(activation @ w + b, 0.0)
     w_out, b_out = layers[-1]
@@ -137,9 +122,9 @@ def loss(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(log_norm - picked))
 
 
-def backward(params: np.ndarray, spec: ModelSpec, batch: Batch) -> np.ndarray:
-    """Gradient of ``loss(forward(...))`` w.r.t. the flat parameter vector."""
-    _check_batch(spec, batch)
+def backward(params: np.ndarray, spec: ModelSpec, batch: Dataset) -> np.ndarray:
+    """Gradient of ``loss(forward(...))`` w.r.t. the flat parameter vector;
+    ``batch`` must be non-empty."""
     layers = unflatten(params, spec)
     n = len(batch.inputs)
 
@@ -168,10 +153,6 @@ def backward(params: np.ndarray, spec: ModelSpec, batch: Batch) -> np.ndarray:
 
 
 def sgd_step(params: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
-    if params.shape != grad.shape:
-        raise ValueError("params and grad have different lengths")
-    if lr <= 0:
-        raise ValueError("lr must be positive")
     return params - lr * grad
 
 
@@ -183,8 +164,6 @@ def local_train(params: np.ndarray, spec: ModelSpec, shard: Shard, epochs: int,
     dropped. A fixed ``rng`` state makes the result bitwise reproducible.
     Raises ``ClientSkipped`` when the shard has no training data.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
     n = len(shard.train)
     if n == 0:
         raise ClientSkipped(f"client {shard.client_id} has no training data")
@@ -192,7 +171,6 @@ def local_train(params: np.ndarray, spec: ModelSpec, shard: Shard, epochs: int,
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            batch = Batch(shard.train.inputs[idx], shard.train.labels[idx])
+            batch = shard.train.subset(order[start : start + batch_size])
             current = sgd_step(current, backward(current, spec, batch), lr)
     return current

@@ -22,11 +22,11 @@ from .aggregation import (
 )
 from .checkpoint import save_ledger, write_vector
 from .config import ALGORITHMS, ExperimentConfig, IdxSource, SyntheticSource
-from .data import Shard, dirichlet_partition, gen_synthetic, load_idx, split_test
+from .data import Dataset, Shard, dirichlet_partition, gen_synthetic, load_idx, split_test
 from .embedding import build_alignment_records, client_embedding, cosine, global_embedding
 from .errors import ConfigError
 from .metrics import RoundReport, evaluate_accuracy, fairness_summary
-from .nn import init_params, local_train
+from .nn import ModelSpec, init_params, local_train
 from .rng import derive_seed, substream
 
 
@@ -42,8 +42,6 @@ class RunState:
 
 def lr_schedule(eta0: float, decay: float, t: int) -> float:
     """Learning rate for round t (1-based): eta0 * decay^(t-1)."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
     return eta0 * decay ** (t - 1)
 
 
@@ -55,6 +53,20 @@ def sample_clients(state: RunState, config: ExperimentConfig) -> frozenset[int]:
     return frozenset(int(c) + 1 for c in chosen)
 
 
+def _check_fits(spec: ModelSpec, data: Dataset, source: str) -> None:
+    """Reject ``data`` that ``spec`` cannot read: the one data-against-model rule.
+
+    The model must take the data's input width and score each of its
+    ``num_classes`` labels. ``source`` names the data in the message.
+    """
+    if data.input_dim != spec.input_dim:
+        raise ConfigError(f"model.input_dim {spec.input_dim} does not match "
+                          f"{source} data dimension {data.input_dim}")
+    if data.num_classes > spec.num_classes:
+        raise ConfigError(f"model.num_classes {spec.num_classes} is too small "
+                          f"for {source} labels ({data.num_classes} classes)")
+
+
 def build_shards(config: ExperimentConfig) -> list[Shard]:
     """Materialize the dataset and its client partition for a config."""
     if isinstance(config.dataset, SyntheticSource):
@@ -64,12 +76,7 @@ def build_shards(config: ExperimentConfig) -> list[Shard]:
     else:
         assert isinstance(config.dataset, IdxSource)
         dataset = load_idx(config.dataset.images, config.dataset.labels)
-        if dataset.input_dim != config.model.input_dim:
-            raise ConfigError(f"model.input_dim {config.model.input_dim} does not match "
-                              f"loaded data dimension {dataset.input_dim}")
-        if dataset.num_classes > config.model.num_classes:
-            raise ConfigError(f"model.num_classes {config.model.num_classes} is too small "
-                              f"for loaded labels ({dataset.num_classes} classes)")
+        _check_fits(config.model, dataset, "loaded")
         if config.clients > len(dataset):
             raise ConfigError(f"clients ({config.clients}) must be at most the "
                               f"{len(dataset)} loaded samples: every client needs one")
@@ -159,10 +166,15 @@ def run_simulation(config: ExperimentConfig, shards: list[Shard] | None = None,
     every ``checkpoint_interval`` rounds (when positive).
 
     ``shards`` may be injected (tests, pre-built partitions); by default they
-    are derived from the config seed.
+    are derived from the config seed. Injected shards are checked once
+    against the model here, so nothing further in needs to check them.
     """
     if shards is None:
         shards = build_shards(config)
+    else:
+        for shard in shards:
+            _check_fits(config.model, shard.train, f"client {shard.client_id} train")
+            _check_fits(config.model, shard.test, f"client {shard.client_id} test")
     state = RunState(0, initial_params(config), ParticipationLedger(), config.seed)
     reports: list[RoundReport] = []
     for _ in range(config.rounds):

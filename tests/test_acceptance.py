@@ -20,8 +20,9 @@ from corefed.aggregation import (
 )
 from corefed.cli import main
 from corefed.config import ExperimentConfig, IdxSource, SyntheticSource
+from corefed.data import Dataset
 from corefed.embedding import alignment_vector, contrastive_loss, distill
-from corefed.nn import Batch, ModelSpec, backward, forward, loss
+from corefed.nn import ModelSpec, backward, forward, loss
 from corefed.simulation import run_simulation
 from tests.test_simulation import equal_shards
 
@@ -59,8 +60,8 @@ def test_criterion_1_gradient_correctness():
         spec = ModelSpec(int(rng.integers(2, 8)), hidden, int(rng.integers(2, 5)))
         assert spec.num_params() <= 500
         params = rng.uniform(-1, 1, spec.num_params())
-        batch = Batch(rng.normal(size=(5, spec.input_dim)),
-                      rng.integers(0, spec.num_classes, size=5))
+        batch = Dataset(rng.normal(size=(5, spec.input_dim)),
+                        rng.integers(0, spec.num_classes, size=5), spec.num_classes)
         analytic = backward(params, spec, batch)
         h = 1e-5
         for j in range(spec.num_params()):

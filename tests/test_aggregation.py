@@ -20,8 +20,9 @@ from corefed.aggregation import (
     window_length,
 )
 from corefed.checkpoint import load_ledger, save_ledger
+from corefed.data import Dataset
 from corefed.errors import InvariantError, NumericalError, ProtocolError
-from corefed.nn import Batch, ModelSpec, backward, sgd_step
+from corefed.nn import ModelSpec, backward, sgd_step
 
 
 def sigmoid(x):
@@ -214,7 +215,7 @@ class TestPseudoGradient:
         spec = ModelSpec(3, (4,), 2)
         rng = np.random.default_rng(2)
         params = rng.uniform(-1, 1, spec.num_params())
-        batch = Batch(rng.normal(size=(6, 3)), rng.integers(0, 2, size=6))
+        batch = Dataset(rng.normal(size=(6, 3)), rng.integers(0, 2, size=6), spec.num_classes)
         grad = backward(params, spec, batch)
         local = sgd_step(params, grad, 0.05)
         np.testing.assert_allclose(pseudo_gradient(params, local, 0.05), grad, rtol=1e-10)

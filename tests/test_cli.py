@@ -136,6 +136,21 @@ class TestParseConfig:
             config_from_dict({"tau_c": 1e-310})
         assert config_from_dict({"tau_c": 2e-308}).tau_c == 2e-308
 
+    @pytest.mark.parametrize("raw, message", [
+        ({"tau_c": 0.0}, "tau_c must be positive"),
+        ({"beta": -0.1}, r"beta must lie in \[0,1\]"),
+        ({"eta0": 0}, "eta0 must be positive"),
+        ({"lr_decay": 0.0}, r"lr_decay must lie in \(0, 1\]"),
+        ({"gamma": -0.5}, "gamma must be non-negative"),
+        ({"k": -1.0}, "k must be non-negative"),
+        ({"batch_size": 0}, "batch_size must be a positive integer"),
+        ({"online_per_round": 0}, r"online_per_round must lie in \[1, clients\]"),
+    ], ids=["tau_c", "beta", "eta0", "lr_decay", "gamma", "k", "batch_size", "online_per_round"])
+    def test_value_the_round_pipeline_trusts_is_rejected(self, raw, message):
+        # nn, embedding and aggregation take these values without a check of their own
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(raw)
+
     def test_more_clients_than_samples_is_rejected(self, tmp_path):
         path = write_config(tmp_path, {"clients": 3000, "dataset": {"n": 2000}})
         with pytest.raises(ConfigError, match=r"clients \(3000\) must be at most dataset.n"):
@@ -378,8 +393,9 @@ class TestSyntheticDefaults:
         assert len(run_simulation(cfg).reports) == 1
 
 
-def write_idx_config(tmp_path, n, clients):
-    """A small image/label pair in the binary IDX layout and a config that reads it."""
+def write_idx_config(tmp_path, n, clients, input_dim=16, num_classes=3):
+    """A small image/label pair in the binary IDX layout (16 dims, 3 classes)
+    and a config that reads it with the given model widths."""
     import struct
 
     import numpy as np
@@ -395,7 +411,7 @@ def write_idx_config(tmp_path, n, clients):
         "rounds": 2, "clients": clients, "online_per_round": 2, "batch_size": 16, "seed": 2,
         "dataset": {"kind": "idx", "images": str(tmp_path / "imgs.idx3"),
                     "labels": str(tmp_path / "labs.idx1")},
-        "model": {"input_dim": 16, "hidden_dims": [8, 8], "num_classes": 3},
+        "model": {"input_dim": input_dim, "hidden_dims": [8, 8], "num_classes": num_classes},
     })
 
 
@@ -432,6 +448,39 @@ class TestIdxEndToEnd:
         cfg = parse_config(write_idx_config(tmp_path, n=6, clients=7))
         with pytest.raises(ConfigError, match=r"clients \(7\) must be at most the 6 loaded"):
             build_shards(cfg)
+
+    def test_model_input_dim_unlike_the_loaded_dimension_is_rejected(self, tmp_path):
+        from corefed.simulation import build_shards
+
+        cfg = parse_config(write_idx_config(tmp_path, n=24, clients=2, input_dim=15))
+        with pytest.raises(ConfigError, match=r"^model\.input_dim 15 does not match loaded data "
+                                              r"dimension 16$"):
+            build_shards(cfg)
+
+    def test_model_with_fewer_classes_than_the_loaded_labels_is_rejected(self, tmp_path):
+        from corefed.simulation import build_shards
+
+        cfg = parse_config(write_idx_config(tmp_path, n=24, clients=2, num_classes=2))
+        with pytest.raises(ConfigError, match=r"^model\.num_classes 2 is too small for loaded "
+                                              r"labels \(3 classes\)$"):
+            build_shards(cfg)
+
+    def test_model_with_more_classes_than_the_loaded_labels_runs(self, tmp_path):
+        config = write_idx_config(tmp_path, n=24, clients=2, num_classes=5)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--algorithms", "fedavg,corefed"]])
+    def test_failed_overwrite_keeps_the_previous_run(self, tmp_path, command):
+        config = write_idx_config(tmp_path, n=24, clients=2)
+        out = tmp_path / "out"
+        args = [*command, "--config", str(config), "--out", str(out), "--run-id", "x"]
+        assert main(args) == 0
+        before = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        (tmp_path / "imgs.idx3").unlink()
+        assert main(args + ["--overwrite"]) == 1
+        after = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert after == before
+        assert sorted(p.name for p in out.iterdir()) == ["x"]
 
 
 # sha256 of each algorithm's output files for GOLDEN_CONFIG. Recorded before

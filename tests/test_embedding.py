@@ -16,8 +16,8 @@ from corefed.embedding import (
     distill,
     global_embedding,
 )
-from corefed.errors import ConfigError, ProtocolError
-from corefed.nn import Batch, ModelSpec, forward
+from corefed.errors import ProtocolError
+from corefed.nn import ModelSpec, forward
 
 finite_vectors = st.lists(st.floats(-10, 10), min_size=2, max_size=6)
 
@@ -41,7 +41,7 @@ class TestClientEmbedding:
         rng = np.random.default_rng(11)
         shard = shard_with(rng.uniform(0, 1, size=(5, 3)), rng.integers(0, 2, size=5))
         z = client_embedding(self.params, self.spec, shard)
-        feats, _ = forward(self.params, self.spec, Batch(shard.train.inputs, shard.train.labels))
+        feats, _ = forward(self.params, self.spec, shard.train)
         expected = np.mean([f / np.linalg.norm(f) for f in feats], axis=0)
         np.testing.assert_allclose(z, expected, rtol=1e-10)
         assert np.linalg.norm(z) <= 1 + 1e-9
@@ -53,11 +53,6 @@ class TestClientEmbedding:
             z = client_embedding(np.zeros(self.spec.num_params()), self.spec, shard)
         assert np.array_equal(z, np.zeros(4))
         assert any("degenerate" in record.message for record in caplog.records)
-
-    def test_empty_shard_rejected(self):
-        empty = Dataset(np.empty((0, 3)), np.empty(0, dtype=np.int64), 2)
-        with pytest.raises(ProtocolError):
-            client_embedding(self.params, self.spec, Shard(client_id=1, train=empty, test=empty))
 
 
 class TestGlobalEmbedding:
@@ -151,11 +146,6 @@ class TestContrastiveLoss:
             assert value < previous
             previous = value
 
-    def test_bad_temperature_rejected(self):
-        z = np.array([1.0, 0.0])
-        with pytest.raises(ConfigError):
-            contrastive_loss(1, {1: z, 2: z}, z, 0.0)
-
 
 class TestAlignmentVector:
     def test_fully_aligned_returns_global(self):
@@ -185,10 +175,6 @@ class TestDistill:
         z_i = np.array([1.0, 0.0])
         z_align = alignment_vector(z_i, np.array([0.0, 1.0]))
         np.testing.assert_allclose(distill(z_i, z_align, 0.5), [0.5, 0.0], rtol=1e-12)
-
-    def test_out_of_range_beta_rejected(self):
-        with pytest.raises(ConfigError):
-            distill(np.zeros(2), np.zeros(2), 1.5)
 
     @given(finite_vectors, st.floats(0, 1))
     @settings(max_examples=60, deadline=None)

@@ -14,7 +14,7 @@ from corefed.metrics import (
     evaluate_accuracy,
     fairness_summary,
 )
-from corefed.nn import Batch, ModelSpec, forward
+from corefed.nn import ModelSpec, forward
 
 vectors = st.lists(st.floats(-5, 5), min_size=2, max_size=8)
 
@@ -94,7 +94,7 @@ class TestEvaluateAccuracy:
         s = shard(1, rng.uniform(size=(12, 2)), rng.integers(0, 4, size=12), 4)
         _, per_client = evaluate_accuracy(params, self.spec, [s])
 
-        _, logits = forward(params, self.spec, Batch(s.test.inputs, s.test.labels))
+        _, logits = forward(params, self.spec, s.test)
         hits = 0
         for row, label in zip(logits, s.test.labels):
             best, best_value = 0, row[0]
@@ -136,7 +136,7 @@ def per_slice_accuracy(global_params, spec, shards):
     for s in shards:
         if not len(s.test):
             continue
-        _, logits = forward(global_params, spec, Batch(s.test.inputs, s.test.labels))
+        _, logits = forward(global_params, spec, s.test)
         per_client[s.client_id] = float(np.mean(logits.argmax(axis=1) == s.test.labels))
     if not per_client:
         raise MeasurementError("no shard has a non-empty test slice")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from corefed.aggregation import ParticipationLedger
 from corefed.config import ALGORITHMS, ExperimentConfig, SyntheticSource
 from corefed.data import Dataset, Shard, gen_synthetic
-from corefed.errors import ClientSkipped, PartitionError
+from corefed.errors import ClientSkipped, ConfigError, PartitionError
 from corefed.simulation import (
     RunState,
     build_shards,
@@ -152,6 +152,26 @@ class TestEverySampledClientTrains:
         with pytest.raises(ClientSkipped, match=r"client 2 has no training data"):
             run_simulation(cfg, shards=shards)
 
+    @pytest.mark.parametrize("part", ["train", "test"])
+    def test_injected_shard_wider_than_the_model_is_rejected(self, part):
+        cfg = small_config(clients=3, online_per_round=3, rounds=0)
+        shards = equal_shards(3, 8)
+        wide = equal_shards(3, 8, input_dim=7)[2]
+        shards[2] = dataclasses.replace(shards[2], **{part: getattr(wide, part)})
+        with pytest.raises(ConfigError, match=rf"^model\.input_dim 6 does not match client 3 "
+                                              rf"{part} data dimension 7$"):
+            run_simulation(cfg, shards=shards)
+
+    @pytest.mark.parametrize("part", ["train", "test"])
+    def test_injected_shard_with_more_classes_than_the_model_is_rejected(self, part):
+        cfg = small_config(clients=3, online_per_round=3, rounds=0)
+        shards = equal_shards(3, 8)
+        more = equal_shards(3, 8, num_classes=4)[0]
+        shards[0] = dataclasses.replace(shards[0], **{part: getattr(more, part)})
+        with pytest.raises(ConfigError, match=rf"^model\.num_classes 3 is too small for client 1 "
+                                              rf"{part} labels \(4 classes\)$"):
+            run_simulation(cfg, shards=shards)
+
     @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
     def test_report_online_is_the_sampled_draw(self, algorithm):
         cfg = small_config(algorithm=algorithm, rounds=4)
@@ -245,10 +265,33 @@ class TestNeutralReductionSmall:
         np.testing.assert_allclose(fair.final_params, plain.final_params, atol=1e-9)
 
 
+def import_tracer(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracer
+    return tracer
+
+
 class TestBenchmarkTracerNames:
     def test_every_name_the_benchmark_wraps_exists_unwrapped(self, monkeypatch):
         # perfbench/tracer.py reads each traced function off its corefed module
         # at import, so a renamed or deleted one fails this import.
-        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-        import tracer
+        assert import_tracer(monkeypatch).untraced_problems() == []
+
+
+class TestBenchmarkTracerHooks:
+    @pytest.mark.parametrize("algorithm", ["corefed", "fedavg"])
+    def test_hooks_count_the_samples_each_call_receives(self, monkeypatch, algorithm):
+        # The tracer's after-hooks read the data passed to backward and to
+        # the evaluation forward; their counts must match the run's own sizes.
+        tracer = import_tracer(monkeypatch)
+        cfg = small_config(algorithm=algorithm, rounds=2, local_epochs=2)
+        shards = {s.client_id: s for s in build_shards(cfg)}
+        with tracer.Tracer() as probe:
+            reports = run_simulation(cfg).reports
+        metrics, _, problems = probe.layer_metrics()
+        assert problems == []
+        trained = sum(len(shards[cid].train) for r in reports for cid in r.online)
+        assert metrics["nn.train_samples"] == (cfg.local_epochs * trained, "count")
+        tested = sum(len(s.test) for s in shards.values())
+        assert metrics["metrics.eval_samples"] == (cfg.rounds * tested, "count")
         assert tracer.untraced_problems() == []
