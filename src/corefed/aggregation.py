@@ -1,6 +1,6 @@
 """Contribution-aware aggregation and the FedAvg baseline.
 
-Participation is tracked per round in a single-writer ledger. Weights
+Participation is tracked per client in a single-writer ledger. Weights
 combine an inverse-frequency reward (1/f)^gamma over a dynamic sliding
 window with a sigmoid alignment reward sigma(k * rho), normalized over the
 round's aggregation membership. Recently inactive clients re-enter the sum
@@ -15,7 +15,7 @@ the maps a function receives are still checked.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +26,9 @@ _SIMPLEX_TOL = 1e-9
 
 
 class ParticipationLedger:
-    """Per-client participation history plus cached gradients/similarities.
+    """Each client's participation rounds plus cached gradients/similarities.
 
+    Rounds are recorded in ascending order, each after ``last_round``.
     Mutated only during the serial aggregation phase of each round. Cached
     gradients are stored read-only, so ``gradient_digests`` (the sha256 of a
     gradient's checkpoint record, filled by ``checkpoint.save_ledger``) stays
@@ -35,27 +36,18 @@ class ParticipationLedger:
     """
 
     def __init__(self):
-        self.history: dict[int, frozenset[int]] = {}
-        self.last_participation: dict[int, int] = {}
+        self.client_rounds: dict[int, list[int]] = {}  # client -> ascending rounds it took part in
+        self.last_round = 0
         self.last_gradient: dict[int, np.ndarray] = {}
         self.gradient_digests: dict[int, str] = {}
         self.last_similarity: dict[int, float] = {}
-        self.client_rounds: dict[int, list[int]] = {}  # client -> sorted rounds it took part in
-
-    @property
-    def distinct_count(self) -> int:
-        """Number of distinct clients that have participated so far."""
-        return len(self.client_rounds)
 
     def record_round(self, t: int, online) -> None:
-        if t in self.history:
-            raise InvariantError(f"round {t} already recorded")
-        members = frozenset(int(c) for c in online)
-        self.history[t] = members
-        for cid in members:
-            rounds = self.client_rounds.setdefault(cid, [])
-            insort(rounds, t)
-            self.last_participation[cid] = rounds[-1]
+        if t <= self.last_round:
+            raise InvariantError(f"round {t} recorded after round {self.last_round}")
+        self.last_round = t
+        for cid in {int(c) for c in online}:
+            self.client_rounds.setdefault(cid, []).append(t)
 
     def cache_gradient(self, client: int, grad: np.ndarray) -> None:
         cached = np.array(grad, dtype=np.float64, copy=True)
@@ -85,9 +77,8 @@ class WeightAssignment:
 
 
 def window_length(ledger: ParticipationLedger, num_online: int) -> int:
-    """Dynamic window tau = ceil(M / num_online), floored at 1."""
-    m = ledger.distinct_count
-    return max(1, -(-m // num_online))
+    """Dynamic window tau = ceil(M / num_online), floored at 1, over the M clients seen so far."""
+    return max(1, -(-len(ledger.client_rounds) // num_online))
 
 
 def participation_frequency(ledger: ParticipationLedger, client: int, t: int, tau: int) -> float:
@@ -163,8 +154,8 @@ def reuse_gradient(ledger: ParticipationLedger, client: int, t: int,
     current round counting as age 0) contributes its cached gradient; older
     clients contribute nothing.
     """
-    last = ledger.last_participation.get(client)
-    if last is None or t - last > tau:
+    rounds = ledger.client_rounds.get(client)
+    if rounds is None or t - rounds[-1] > tau:
         return None
     return ledger.last_gradient[client]
 
@@ -223,7 +214,7 @@ def assemble_round(ledger: ParticipationLedger, online, fresh_gradients: dict[in
         ledger.cache_similarity(cid, fresh_similarities[cid])
     # Online members, then reused ones, each ascending: the output bits depend on this order.
     gradients = {cid: ledger.last_gradient[cid] for cid in online}
-    for cid in sorted(ledger.last_participation.keys() - gradients.keys()):
+    for cid in sorted(ledger.client_rounds.keys() - gradients.keys()):
         cached = reuse_gradient(ledger, cid, t, tau)
         if cached is not None:
             gradients[cid] = cached

@@ -70,9 +70,16 @@ def read_vector(path) -> np.ndarray:
 def save_ledger(ledger: ParticipationLedger, json_path, gradients_path) -> None:
     """Write the ledger's JSON manifest and its gradient cache.
 
-    Only gradients cached since the previous save are hashed; the rest reuse
-    their digest from ``ledger.gradient_digests``.
+    The manifest's ``history`` (round -> members) and ``last_participation``
+    are derived from ``ledger.client_rounds``. Only gradients cached since
+    the previous save are hashed; the rest reuse their digest from
+    ``ledger.gradient_digests``.
     """
+    clients = sorted(ledger.client_rounds.items())
+    history: dict[int, list[int]] = {}
+    for cid, rounds in clients:
+        for r in rounds:
+            history.setdefault(r, []).append(cid)
     entries = []
     chunks = []
     for cid in sorted(ledger.last_gradient):
@@ -86,8 +93,8 @@ def save_ledger(ledger: ParticipationLedger, json_path, gradients_path) -> None:
         chunks += (prefix, values)
     document = {
         "schema_version": LEDGER_SCHEMA_VERSION,
-        "history": {str(r): sorted(members) for r, members in sorted(ledger.history.items())},
-        "last_participation": {str(c): r for c, r in sorted(ledger.last_participation.items())},
+        "history": {str(r): history[r] for r in sorted(history)},
+        "last_participation": {str(c): rounds[-1] for c, rounds in clients},
         "last_similarity": {str(c): s for c, s in sorted(ledger.last_similarity.items())},
         "gradient_cache": entries,
     }
@@ -95,18 +102,53 @@ def save_ledger(ledger: ParticipationLedger, json_path, gradients_path) -> None:
     atomic_write(json_path, [(json.dumps(document, indent=2) + "\n").encode("utf-8")])
 
 
+def _int_key(json_path, key: str, name: str) -> int:
+    """The int that ``save_ledger`` wrote as the JSON key ``key``; no other spelling loads."""
+    try:
+        if str(int(key)) == key:
+            return int(key)
+    except ValueError:
+        pass
+    raise FormatError(f"{json_path}: {name} key {key!r} is not an integer as a ledger writes it")
+
+
 def load_ledger(json_path, gradients_path) -> ParticipationLedger:
+    """Read back a ledger that ``save_ledger`` wrote.
+
+    A ledger that no run can write raises FormatError naming the file: a run
+    records ascending rounds of distinct client ids, each round before it
+    caches, and caches a client's gradient and similarity together, once.
+    """
     document = json.loads(Path(json_path).read_text(encoding="utf-8"))
     if document.get("schema_version") != LEDGER_SCHEMA_VERSION:
         raise FormatError(f"{json_path}: unsupported ledger schema {document.get('schema_version')!r}")
     ledger = ParticipationLedger()
-    for r, members in sorted(document["history"].items(), key=lambda kv: int(kv[0])):
-        ledger.record_round(int(r), members)
-    expected_last = {int(c): r for c, r in document["last_participation"].items()}
-    if expected_last != ledger.last_participation:
+    history = {_int_key(json_path, r, "history"): members
+               for r, members in document["history"].items()}
+    for r in sorted(history):
+        members = history[r]
+        if r < 1:
+            raise FormatError(f"{json_path}: history records round {r}, before round 1")
+        if (not members or len(set(members)) != len(members)
+                or not all(type(c) is int and c >= 1 for c in members)):
+            raise FormatError(f"{json_path}: round {r} must list distinct client ids "
+                              f"(integers from 1), at least one")
+        ledger.record_round(r, members)
+    expected_last = {_int_key(json_path, c, "last_participation"): r
+                     for c, r in document["last_participation"].items()}
+    if expected_last != {c: rounds[-1] for c, rounds in ledger.client_rounds.items()}:
         raise FormatError(f"{json_path}: last_participation disagrees with history")
-    for c, s in document["last_similarity"].items():
-        ledger.cache_similarity(int(c), s)
+    similarities = {_int_key(json_path, c, "last_similarity"): s
+                    for c, s in document["last_similarity"].items()}
+    cached = [entry["client"] for entry in document["gradient_cache"]]
+    if len(set(cached)) != len(cached):
+        raise FormatError(f"{json_path}: gradient_cache lists a client twice")
+    if set(cached) != similarities.keys():
+        raise FormatError(f"{json_path}: last_similarity and gradient_cache cover different clients")
+    if not similarities.keys() <= ledger.client_rounds.keys():
+        raise FormatError(f"{json_path}: a cached client is absent from history")
+    for cid, similarity in similarities.items():
+        ledger.cache_similarity(cid, similarity)
     with open(gradients_path, "rb") as fh:
         for entry in document["gradient_cache"]:
             packed = fh.read(8 + entry["length"] * 8)

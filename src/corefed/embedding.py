@@ -17,7 +17,7 @@ import logging
 import numpy as np
 
 from .data import Shard
-from .errors import ProtocolError
+from .errors import NumericalError, ProtocolError
 from .nn import ModelSpec, forward
 
 logger = logging.getLogger(__name__)
@@ -28,18 +28,17 @@ _NORM_EPS = 1e-12
 def client_embedding(params: np.ndarray, spec: ModelSpec, shard: Shard) -> np.ndarray:
     """Mean of unit-normalized feature embeddings over the client's train set.
 
-    Samples whose embedding norm is below 1e-12 are skipped and counted; if
-    every sample degenerates the result is the zero vector (warned, training
-    proceeds).
+    Samples whose embedding norm is below 1e-12, or not a number, are
+    skipped and counted. If every sample degenerates, the last hidden layer
+    is dead on this client's data, and NumericalError names the client.
     """
     features, _ = forward(params, spec, shard.train)
     norms = np.linalg.norm(features, axis=1)
     usable = norms >= _NORM_EPS
     skipped = int((~usable).sum())
     if not usable.any():
-        logger.warning("client %d: all %d sample embeddings degenerate; using zero embedding",
-                       shard.client_id, len(norms))
-        return np.zeros(spec.embedding_dim)
+        raise NumericalError(f"client {shard.client_id}: all {len(norms)} sample embeddings "
+                             f"are degenerate (dead last hidden layer)")
     if skipped:
         logger.warning("client %d: skipped %d/%d near-zero sample embeddings",
                        shard.client_id, skipped, len(norms))

@@ -34,4 +34,4 @@ class ClientSkipped(RuntimeError):
 
 
 class NumericalError(RuntimeError):
-    """A computation left the finite float range; names the round and client."""
+    """A computation left the finite float range or degenerated; names the round and client."""

@@ -53,10 +53,6 @@ class ModelSpec:
         if self.activation != "relu":
             raise ConfigError(f"unsupported activation {self.activation!r}")
 
-    @property
-    def embedding_dim(self) -> int:
-        return self.hidden_dims[-1]
-
     def layer_shapes(self) -> list[tuple[int, int]]:
         """(fan_in, fan_out) for every layer including the output layer."""
         widths = (self.input_dim, *self.hidden_dims, self.num_classes)

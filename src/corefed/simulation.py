@@ -24,7 +24,7 @@ from .checkpoint import save_ledger, write_vector
 from .config import ALGORITHMS, ExperimentConfig, IdxSource, SyntheticSource
 from .data import Dataset, Shard, dirichlet_partition, gen_synthetic, load_idx, split_test
 from .embedding import build_alignment_records, client_embedding, cosine, global_embedding
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .metrics import RoundReport, evaluate_accuracy, fairness_summary
 from .nn import ModelSpec, init_params, local_train
 from .rng import derive_seed, substream
@@ -99,7 +99,7 @@ def run_round(state: RunState, config: ExperimentConfig,
     weights (similarity from the raw embedding unless ``align`` is on).
     With neither, no embedding pass runs and the round is plain FedAvg.
     Every sampled client trains; a shard without training data stops the run
-    with ``ClientSkipped``.
+    with ``ClientSkipped``, a dead last hidden layer with ``NumericalError``.
     """
     t = state.round + 1
     align, fair = ALGORITHMS[config.algorithm]
@@ -113,8 +113,11 @@ def run_round(state: RunState, config: ExperimentConfig,
     similarities: dict[int, float] = {}
     contrastives: dict[int, float | None] = {}
     if align or fair:
-        embeddings = {cid: client_embedding(local_models[cid], config.model, by_id[cid])
-                      for cid in active}
+        try:
+            embeddings = {cid: client_embedding(local_models[cid], config.model, by_id[cid])
+                          for cid in active}
+        except NumericalError as exc:
+            raise NumericalError(f"round {t}: {exc}") from None
         z_global = global_embedding([embeddings[cid] for cid in active])
         if align:
             similarities, contrastives = build_alignment_records(embeddings, z_global,

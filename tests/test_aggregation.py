@@ -1,3 +1,4 @@
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -38,18 +39,32 @@ def ledger_with_history(history):
 
 class TestLedger:
     def test_distinct_count_tracks_union(self):
+        # the window reads the distinct count as the number of clients with rounds
         ledger = ledger_with_history([{1, 2}, {2, 3}, {1}])
-        assert ledger.distinct_count == 3
-        assert ledger.distinct_count == len(set().union(*ledger.history.values()))
+        assert ledger.client_rounds == {1: [1, 3], 2: [1, 2], 3: [2]}
+        assert window_length(ledger, 1) == 3
 
-    def test_last_participation_is_greatest_round(self):
+    def test_last_participation_is_greatest_round(self, tmp_path):
         ledger = ledger_with_history([{1, 2}, {2}, {2, 3}])
-        assert ledger.last_participation == {1: 1, 2: 3, 3: 3}
+        for cid in (1, 2, 3):
+            ledger.cache_gradient(cid, np.array([1.0]))
+        assert reuse_gradient(ledger, 1, t=3, tau=2) is not None
+        assert reuse_gradient(ledger, 1, t=4, tau=2) is None
+        save_ledger(ledger, tmp_path / "ledger.json", tmp_path / "gradients.bin")
+        saved = json.loads((tmp_path / "ledger.json").read_text(encoding="utf-8"))
+        assert saved["last_participation"] == {"1": 1, "2": 3, "3": 3}
 
     def test_duplicate_round_rejected(self):
         ledger = ledger_with_history([{1}])
         with pytest.raises(InvariantError):
             ledger.record_round(1, {2})
+
+    @pytest.mark.parametrize("t", [1, 2, 0, -1])
+    def test_repeated_or_earlier_round_rejected(self, t):
+        ledger = ledger_with_history([{1}, {2}])
+        with pytest.raises(InvariantError, match=f"round {t} recorded after round 2"):
+            ledger.record_round(t, {3})
+        assert ledger.client_rounds == {1: [1], 2: [2]}
 
     def test_cached_gradient_is_a_read_only_copy(self):
         # A checkpoint keeps each cached gradient's digest until the client's
@@ -120,27 +135,28 @@ class TestWindowCountsMatchBruteForce:
 
     @staticmethod
     def assert_matches(ledger, history):
-        horizon = len(history) + 2
+        horizon = max(history) + 2
         for client in range(1, 8):
             for t in range(-1, horizon + 1):
                 for tau in range(1, horizon + 2):
                     assert (participation_frequency(ledger, client, t, tau)
                             == brute_force_frequency(history, client, t, tau))
 
-    @given(histories, st.randoms(use_true_random=False))
+    @given(st.lists(st.tuples(st.integers(1, 3), st.sets(st.integers(1, 6), max_size=6)),
+                    min_size=1, max_size=12))
     @settings(max_examples=60, deadline=None)
-    def test_any_recording_order(self, rounds, random):
-        history = {t: members for t, members in enumerate(rounds, start=1)}
-        order = list(history)
-        random.shuffle(order)
+    def test_ascending_recording_order(self, steps):
+        # rounds arrive in ascending order, possibly with unrecorded rounds between
+        history, t = {}, 0
         ledger = ParticipationLedger()
-        for t in order:
-            ledger.record_round(t, history[t])
+        for gap, members in steps:
+            t += gap
+            history[t] = members
+            ledger.record_round(t, members)
         self.assert_matches(ledger, history)
-        assert ledger.distinct_count == len(set().union(*rounds))
-        assert ledger.last_participation == {
-            cid: max(t for t, members in history.items() if cid in members)
-            for cid in ledger.last_participation}
+        assert ledger.client_rounds == {
+            cid: [r for r, members in history.items() if cid in members]
+            for cid in set().union(*history.values())}
 
     @given(histories)
     @settings(max_examples=30, deadline=None)
@@ -152,7 +168,7 @@ class TestWindowCountsMatchBruteForce:
             save_ledger(ledger, root / "ledger.json", root / "gradients.bin")
             restored = load_ledger(root / "ledger.json", root / "gradients.bin")
         self.assert_matches(restored, history)
-        assert restored.distinct_count == ledger.distinct_count
+        assert restored.client_rounds == ledger.client_rounds
 
 
 class TestFairnessWeights:

@@ -64,10 +64,8 @@ class TestLedgerCheckpoint:
         ledger = sample_ledger()
         save_ledger(ledger, tmp_path / "ledger.json", tmp_path / "gradients.bin")
         restored = load_ledger(tmp_path / "ledger.json", tmp_path / "gradients.bin")
-        assert restored.history == ledger.history
-        assert restored.last_participation == ledger.last_participation
+        assert restored.client_rounds == ledger.client_rounds
         assert restored.last_similarity == ledger.last_similarity
-        assert restored.distinct_count == ledger.distinct_count
         assert set(restored.last_gradient) == set(ledger.last_gradient)
         for cid, grad in ledger.last_gradient.items():
             np.testing.assert_array_equal(restored.last_gradient[cid], grad)
@@ -87,12 +85,80 @@ class TestLedgerCheckpoint:
         with pytest.raises(TruncatedFileError):
             load_ledger(tmp_path / "ledger.json", tmp_path / "gradients.bin")
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["history"].update({"x": [1]}), "history key 'x'"),
+        (lambda d: d["history"].update({"01": [3]}), "history key '01'"),
+        (lambda d: d["history"].update({"0": [3]}), "round 0, before round 1"),
+        (lambda d: d["history"].update({"-2": [3]}), "round -2, before round 1"),
+        (lambda d: d["history"].update({"2": [2, 2]}), "round 2 must list distinct client ids"),
+        (lambda d: d["history"].update({"3": []}), "round 3 must list distinct client ids"),
+        (lambda d: d["history"].update({"2": ["2"]}), "round 2 must list distinct client ids"),
+        (lambda d: d["history"].update({"2": [2.0]}), "round 2 must list distinct client ids"),
+        (lambda d: d["last_participation"].update({"2": 1}), "last_participation disagrees"),
+        (lambda d: d["last_similarity"].pop("3"), "cover different clients"),
+        (lambda d: d["gradient_cache"].pop(), "cover different clients"),
+        (lambda d: d["last_similarity"].update({"4": 0.5}), "cover different clients"),
+        (lambda d: (d["last_similarity"].update({"4": d["last_similarity"].pop("3")}),
+                    d["gradient_cache"][-1].update({"client": 4})), "absent from history"),
+        (lambda d: d["gradient_cache"][0].update({"client": 2}), "lists a client twice"),
+    ], ids=["round-not-integer", "round-named-twice", "round-zero", "round-negative",
+            "member-twice", "round-without-members", "member-not-integer", "member-float",
+            "last-participation", "similarity-missing", "gradient-missing", "similarity-only",
+            "cached-client-never-recorded", "client-cached-twice"])
+    def test_ledger_no_run_writes_is_rejected(self, tmp_path, edit, message):
+        # Every run records a round before it caches, and caches a client's
+        # gradient and similarity together, once.
+        save_ledger(sample_ledger(), tmp_path / "ledger.json", tmp_path / "gradients.bin")
+        document = json.loads((tmp_path / "ledger.json").read_text(encoding="utf-8"))
+        edit(document)
+        (tmp_path / "ledger.json").write_text(json.dumps(document), encoding="utf-8")
+        with pytest.raises(FormatError, match=f"ledger.json: .*{message}"):
+            load_ledger(tmp_path / "ledger.json", tmp_path / "gradients.bin")
+
+
+def saved_manifest_oracle(rounds):
+    """``history`` and ``last_participation`` as a walk over the recorded rounds gives them."""
+    history = {str(t): sorted(members) for t, members in rounds if members}
+    last = {}
+    for t, members in rounds:
+        for cid in members:
+            last[cid] = t
+    return history, {str(cid): last[cid] for cid in sorted(last)}
+
+
+ascending_rounds = st.lists(st.tuples(st.integers(1, 3), st.sets(st.integers(1, 8), max_size=5)),
+                            min_size=1, max_size=15)
+
+
+class TestSavedHistory:
+    @given(ascending_rounds)
+    @settings(max_examples=60, deadline=None)
+    def test_history_and_last_participation_match_a_walk_over_the_rounds(self, steps):
+        ledger = ParticipationLedger()
+        rounds, t = [], 0
+        for gap, members in steps:
+            t += gap
+            ledger.record_round(t, members)
+            rounds.append((t, members))
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            save_ledger(ledger, root / "ledger.json", root / "gradients.bin")
+            manifest = (root / "ledger.json").read_text(encoding="utf-8")
+        document = json.loads(manifest)
+        history, last = saved_manifest_oracle(rounds)
+        assert list(document["history"].items()) == list(history.items())
+        assert list(document["last_participation"].items()) == list(last.items())
+
 
 def memo_free_copy(ledger):
     """A ledger with the same contents, rebuilt through the public mutators."""
     copy = ParticipationLedger()
-    for t, members in ledger.history.items():
-        copy.record_round(t, members)
+    history = {}
+    for cid, rounds in ledger.client_rounds.items():
+        for t in rounds:
+            history.setdefault(t, set()).add(cid)
+    for t in sorted(history):
+        copy.record_round(t, history[t])
     for cid, similarity in ledger.last_similarity.items():
         copy.cache_similarity(cid, similarity)
     for cid, grad in ledger.last_gradient.items():
@@ -100,9 +166,12 @@ def memo_free_copy(ledger):
     return copy
 
 
+# Only ledgers a run can write: every round has a member, and a cache op
+# stores a gradient and a similarity together for a client already recorded.
 ledger_ops = st.lists(st.one_of(
-    st.tuples(st.just("record"), st.sets(st.integers(1, 4), max_size=4)),
-    st.tuples(st.just("cache"), st.integers(1, 4), st.lists(st.floats(), max_size=3)),
+    st.tuples(st.just("record"), st.sets(st.integers(1, 4), min_size=1, max_size=4)),
+    st.tuples(st.just("cache"), st.integers(1, 4), st.lists(st.floats(), max_size=3),
+              st.floats(-1, 1)),
     st.tuples(st.just("save"), st.booleans()),
 ), max_size=25)
 
@@ -122,7 +191,9 @@ class TestDigestMemo:
                     t += 1
                     ledger.record_round(t, args[0])
                 elif op == "cache":
-                    ledger.cache_gradient(args[0], np.array(args[1], dtype=np.float64))
+                    if args[0] in ledger.client_rounds:
+                        ledger.cache_gradient(args[0], np.array(args[1], dtype=np.float64))
+                        ledger.cache_similarity(args[0], args[2])
                 else:
                     save_ledger(ledger, root / "ledger.json", root / "gradients.bin")
                     save_ledger(memo_free_copy(ledger), root / "fresh.json", root / "fresh.bin")
@@ -192,3 +263,29 @@ class TestAtomicWrites:
             write_vector(path, np.array([3.0]))
         np.testing.assert_array_equal(read_vector(path), [1.0, 2.0])
         assert [p.name for p in tmp_path.iterdir()] == ["vec.bin"]
+
+
+# sha256 of the checkpoints of a 120-client, 2-online corefed run: by round 60
+# it has seen 74 clients, so tau reaches 37 and each save carries a window's
+# worth of reused gradients. Recorded before the ledger kept only per-client
+# rounds; every byte stayed the same.
+WIDE_WINDOW_CONFIG = ExperimentConfig(
+    algorithm="corefed", rounds=60, clients=120, online_per_round=2, batch_size=20, seed=7,
+    checkpoint_interval=20, dataset=SyntheticSource(num_classes=10, input_dim=32, n=2400))
+WIDE_WINDOW_SHA256 = {
+    "round_20/ledger.json": "08e8befe9e8dfd754fbd7b8d999076b6de635f0daf9b07d14866bf7713e35198",
+    "round_20/gradients.bin": "1e457ade0bc5d096c77e77da9184fae6119be6b525db5df418f027e05f709c0f",
+    "round_40/ledger.json": "d4855dfef9d25a0cdffa36a5c9b177502dfda0c50df5352b0cf0412cc9524a9f",
+    "round_40/gradients.bin": "4220038e6abf3c7ca6bbf098f348b602e1f2cd752bf62a437d43bd0b8bda1cf3",
+    "round_60/ledger.json": "96cd29c4d346cc5a78a10127c3b9edeb45f65a3c1bd93a06eb837e32cb15b075",
+    "round_60/gradients.bin": "83295a5743c4ea0cc77a6c573c7b1dd9d0d07b07cc75d3907c92971756fe8273",
+}
+
+
+class TestWideWindowBytes:
+    def test_checkpoints_at_a_wide_window_are_pinned(self, tmp_path):
+        run_simulation(WIDE_WINDOW_CONFIG, checkpoint_dir=tmp_path)
+        for name, digest in WIDE_WINDOW_SHA256.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+        history = json.loads((tmp_path / "round_60" / "ledger.json").read_text())["history"]
+        assert len(set().union(*history.values())) == 74

@@ -483,6 +483,19 @@ class TestIdxEndToEnd:
         assert sorted(p.name for p in out.iterdir()) == ["x"]
 
 
+class TestDeadLastLayerRun:
+    def test_run_exits_1_and_leaves_no_run_directory(self, tmp_path, capsys):
+        # the desk setting at eta0 = 50 kills every hidden relu by round 2
+        config = write_config(tmp_path, {
+            "algorithm": "corefed", "rounds": 3, "clients": 10, "online_per_round": 0.4,
+            "batch_size": 50, "dirichlet_alpha": 0.5, "eta0": 50, "seed": 1,
+            "dataset": {"kind": "synthetic", "num_classes": 4, "input_dim": 32, "n": 2000}})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+        assert "error: round 2: client 2: all" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
 # sha256 of each algorithm's output files for GOLDEN_CONFIG. Recorded before
 # the algorithms became two switches over one round pipeline; every byte
 # stayed the same. The fedavg/refed ledger checkpoints are left out because

@@ -16,7 +16,7 @@ from corefed.embedding import (
     distill,
     global_embedding,
 )
-from corefed.errors import ProtocolError
+from corefed.errors import NumericalError, ProtocolError
 from corefed.nn import ModelSpec, forward
 
 finite_vectors = st.lists(st.floats(-10, 10), min_size=2, max_size=6)
@@ -46,13 +46,16 @@ class TestClientEmbedding:
         np.testing.assert_allclose(z, expected, rtol=1e-10)
         assert np.linalg.norm(z) <= 1 + 1e-9
 
-    def test_all_degenerate_samples_give_zero_embedding(self, caplog):
-        # zero parameters make every feature vector zero
+    def test_all_degenerate_samples_raise(self):
+        # zero parameters make every feature vector zero: the last hidden layer is dead
         shard = shard_with([[0.1, 0.2, 0.3], [0.5, 0.5, 0.5]], [0, 1])
-        with caplog.at_level("WARNING"):
-            z = client_embedding(np.zeros(self.spec.num_params()), self.spec, shard)
-        assert np.array_equal(z, np.zeros(4))
-        assert any("degenerate" in record.message for record in caplog.records)
+        with pytest.raises(NumericalError, match=r"client 1: all 2 sample embeddings"):
+            client_embedding(np.zeros(self.spec.num_params()), self.spec, shard)
+
+    def test_not_a_number_features_count_as_degenerate(self):
+        shard = shard_with([[0.1, 0.2, 0.3], [0.5, 0.5, 0.5]], [0, 1])
+        with pytest.raises(NumericalError, match="degenerate"):
+            client_embedding(np.full(self.spec.num_params(), np.nan), self.spec, shard)
 
 
 class TestGlobalEmbedding:

@@ -30,7 +30,6 @@ class TestModelSpec:
     def test_param_count_matches_layer_sum(self):
         spec = ModelSpec(4, (5, 3), 2)
         assert spec.num_params() == (4 + 1) * 5 + (5 + 1) * 3 + (3 + 1) * 2
-        assert spec.embedding_dim == 3
 
     def test_empty_hidden_rejected(self):
         with pytest.raises(ConfigError):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from corefed.aggregation import ParticipationLedger
 from corefed.config import ALGORITHMS, ExperimentConfig, SyntheticSource
 from corefed.data import Dataset, Shard, gen_synthetic
-from corefed.errors import ClientSkipped, ConfigError, PartitionError
+from corefed.errors import ClientSkipped, ConfigError, NumericalError, PartitionError
 from corefed.simulation import (
     RunState,
     build_shards,
@@ -224,8 +224,8 @@ class TestRunExperiment:
         previous = 0
         for _ in range(cfg.rounds):
             state, _ = run_round(state, cfg, shards)
-            assert previous <= state.ledger.distinct_count <= cfg.clients
-            previous = state.ledger.distinct_count
+            assert previous <= len(state.ledger.client_rounds) <= cfg.clients
+            previous = len(state.ledger.client_rounds)
 
     def test_checkpoints_written_at_interval(self, tmp_path):
         cfg = small_config(rounds=4, checkpoint_interval=2)
@@ -244,8 +244,8 @@ class TestRunExperiment:
         for t in range(1, cfg.rounds + 1):
             round_dir = tmp_path / f"round_{t}"
             ledger = load_ledger(round_dir / "ledger.json", round_dir / "gradients.bin")
-            assert sorted(ledger.history) == list(range(1, t + 1))
-            assert ledger.last_gradient.keys() == ledger.last_participation.keys()
+            assert sorted(set().union(*ledger.client_rounds.values())) == list(range(1, t + 1))
+            assert ledger.last_gradient.keys() == ledger.client_rounds.keys()
 
     def test_checkpoint_global_matches_state(self, tmp_path):
         from corefed.checkpoint import read_vector
@@ -253,6 +253,17 @@ class TestRunExperiment:
         result = run_simulation(cfg, checkpoint_dir=tmp_path)
         stored = read_vector(tmp_path / "round_2" / "global.bin")
         np.testing.assert_array_equal(stored, result.final_params)
+
+
+class TestDeadLastLayer:
+    def test_run_stops_naming_round_and_client(self):
+        # the desk setting with a learning rate 500 times too large: every
+        # hidden relu dies on the training data within a few rounds
+        cfg = ExperimentConfig(algorithm="corefed", rounds=3, clients=10, online_per_round=0.4,
+                               batch_size=50, dirichlet_alpha=0.5, eta0=50, seed=1,
+                               dataset=SyntheticSource(num_classes=4, input_dim=32, n=2000))
+        with pytest.raises(NumericalError, match=r"^round 2: client 2: all \d+ sample embeddings"):
+            run_simulation(cfg)
 
 
 class TestNeutralReductionSmall:
