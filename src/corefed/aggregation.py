@@ -28,7 +28,8 @@ _SIMPLEX_TOL = 1e-9
 class ParticipationLedger:
     """Each client's participation rounds plus cached gradients/similarities.
 
-    Rounds are recorded in ascending order, each after ``last_round``.
+    Rounds are recorded in ascending order, each after ``last_round``, and
+    client ids start at 1, as shards are numbered.
     Mutated only during the serial aggregation phase of each round. Cached
     gradients are stored read-only, so ``gradient_digests`` (the sha256 of a
     gradient's checkpoint record, filled by ``checkpoint.save_ledger``) stays
@@ -45,8 +46,11 @@ class ParticipationLedger:
     def record_round(self, t: int, online) -> None:
         if t <= self.last_round:
             raise InvariantError(f"round {t} recorded after round {self.last_round}")
+        clients = {int(c) for c in online}
+        if min(clients, default=1) < 1:
+            raise InvariantError(f"round {t} records client {min(clients)}; client ids start at 1")
         self.last_round = t
-        for cid in {int(c) for c in online}:
+        for cid in clients:
             self.client_rounds.setdefault(cid, []).append(t)
 
     def cache_gradient(self, client: int, grad: np.ndarray) -> None:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .aggregation import ParticipationLedger
-from .errors import FormatError, TruncatedFileError
+from .errors import FormatError, InvariantError, TruncatedFileError
 
 LEDGER_SCHEMA_VERSION = 1
 
@@ -67,12 +67,12 @@ def read_vector(path) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8", offset=8).astype(np.float64)
 
 
-def save_ledger(ledger: ParticipationLedger, json_path, gradients_path) -> None:
-    """Write the ledger's JSON manifest and its gradient cache.
+def _ledger_files(ledger: ParticipationLedger) -> tuple[bytes, list]:
+    """The ``ledger.json`` bytes and the ``gradients.bin`` chunks that describe ``ledger``.
 
     The manifest's ``history`` (round -> members) and ``last_participation``
     are derived from ``ledger.client_rounds``. Only gradients cached since
-    the previous save are hashed; the rest reuse their digest from
+    their digest was last filled are hashed; the rest reuse their digest from
     ``ledger.gradient_digests``.
     """
     clients = sorted(ledger.client_rounds.items())
@@ -98,70 +98,51 @@ def save_ledger(ledger: ParticipationLedger, json_path, gradients_path) -> None:
         "last_similarity": {str(c): s for c, s in sorted(ledger.last_similarity.items())},
         "gradient_cache": entries,
     }
+    return (json.dumps(document, indent=2) + "\n").encode("utf-8"), chunks
+
+
+def save_ledger(ledger: ParticipationLedger, json_path, gradients_path) -> None:
+    """Write the ledger's JSON manifest and its gradient cache."""
+    manifest, chunks = _ledger_files(ledger)
     atomic_write(gradients_path, chunks)
-    atomic_write(json_path, [(json.dumps(document, indent=2) + "\n").encode("utf-8")])
-
-
-def _int_key(json_path, key: str, name: str) -> int:
-    """The int that ``save_ledger`` wrote as the JSON key ``key``; no other spelling loads."""
-    try:
-        if str(int(key)) == key:
-            return int(key)
-    except ValueError:
-        pass
-    raise FormatError(f"{json_path}: {name} key {key!r} is not an integer as a ledger writes it")
+    atomic_write(json_path, [manifest])
 
 
 def load_ledger(json_path, gradients_path) -> ParticipationLedger:
     """Read back a ledger that ``save_ledger`` wrote.
 
-    A ledger that no run can write raises FormatError naming the file: a run
-    records ascending rounds of distinct client ids, each round before it
-    caches, and caches a client's gradient and similarity together, once.
+    The ledger is rebuilt through its mutators, and ``ledger.json`` must hold
+    exactly the bytes ``save_ledger`` writes for the rebuilt ledger; any other
+    manifest raises FormatError naming the file. ``gradients.bin`` must hold
+    the records the manifest lists, each with its digest, and nothing more.
     """
-    document = json.loads(Path(json_path).read_text(encoding="utf-8"))
+    manifest = Path(json_path).read_bytes()
+    document = json.loads(manifest)
     if document.get("schema_version") != LEDGER_SCHEMA_VERSION:
         raise FormatError(f"{json_path}: unsupported ledger schema {document.get('schema_version')!r}")
     ledger = ParticipationLedger()
-    history = {_int_key(json_path, r, "history"): members
-               for r, members in document["history"].items()}
-    for r in sorted(history):
-        members = history[r]
-        if r < 1:
-            raise FormatError(f"{json_path}: history records round {r}, before round 1")
-        if (not members or len(set(members)) != len(members)
-                or not all(type(c) is int and c >= 1 for c in members)):
-            raise FormatError(f"{json_path}: round {r} must list distinct client ids "
-                              f"(integers from 1), at least one")
-        ledger.record_round(r, members)
-    expected_last = {_int_key(json_path, c, "last_participation"): r
-                     for c, r in document["last_participation"].items()}
-    if expected_last != {c: rounds[-1] for c, rounds in ledger.client_rounds.items()}:
-        raise FormatError(f"{json_path}: last_participation disagrees with history")
-    similarities = {_int_key(json_path, c, "last_similarity"): s
-                    for c, s in document["last_similarity"].items()}
-    cached = [entry["client"] for entry in document["gradient_cache"]]
-    if len(set(cached)) != len(cached):
-        raise FormatError(f"{json_path}: gradient_cache lists a client twice")
-    if set(cached) != similarities.keys():
-        raise FormatError(f"{json_path}: last_similarity and gradient_cache cover different clients")
-    if not similarities.keys() <= ledger.client_rounds.keys():
-        raise FormatError(f"{json_path}: a cached client is absent from history")
-    for cid, similarity in similarities.items():
-        ledger.cache_similarity(cid, similarity)
+    try:
+        for r, members in document["history"].items():
+            ledger.record_round(int(r), members)
+        similarities = {int(c): float(s) for c, s in document["last_similarity"].items()}
+        cache = [(int(e["client"]), int(e["length"]), e["sha256"]) for e in document["gradient_cache"]]
+    except (TypeError, ValueError, OverflowError, InvariantError) as exc:
+        raise FormatError(f"{json_path}: no run writes this ledger: {exc}") from exc
     with open(gradients_path, "rb") as fh:
-        for entry in document["gradient_cache"]:
-            packed = fh.read(8 + entry["length"] * 8)
-            if len(packed) != 8 + entry["length"] * 8:
+        for cid, length, digest in cache:
+            packed = fh.read(8 + length * 8)
+            if len(packed) != 8 + length * 8:
                 raise TruncatedFileError(f"{gradients_path}: gradient cache shorter than manifest")
-            if hashlib.sha256(packed).hexdigest() != entry["sha256"]:
-                raise FormatError(f"{gradients_path}: digest mismatch for client {entry['client']}")
-            (count,) = struct.unpack("<Q", packed[:8])
-            if count != entry["length"]:
+            if hashlib.sha256(packed).hexdigest() != digest:
+                raise FormatError(f"{gradients_path}: digest mismatch for client {cid}")
+            if struct.unpack_from("<Q", packed)[0] != length:
                 raise FormatError(f"{gradients_path}: length prefix disagrees with manifest")
-            cid = int(entry["client"])
-            ledger.cache_gradient(cid, np.frombuffer(packed, dtype="<f8", offset=8))
-            ledger.gradient_digests[cid] = entry["sha256"]
+            if cid in ledger.client_rounds and cid in similarities:
+                ledger.cache_gradient(cid, np.frombuffer(packed, dtype="<f8", offset=8))
+                ledger.cache_similarity(cid, similarities[cid])
+                ledger.gradient_digests[cid] = digest
         if fh.read(1):
             raise FormatError(f"{gradients_path}: trailing bytes after gradient cache")
+    if _ledger_files(ledger)[0] != manifest:
+        raise FormatError(f"{json_path}: not the bytes save_ledger writes for the ledger it describes")
     return ledger

@@ -128,18 +128,17 @@ def _run_id(args, prefix: str, cfg: ExperimentConfig) -> str:
     return args.run_id
 
 
-def _run_into(path: Path, run_id: str, cfg: ExperimentConfig,
-              overwrite: bool = False) -> list[RoundReport]:
-    """Simulate ``cfg`` into the run directory ``path`` (checkpoints included) and write its files."""
-    with _fresh_dir(path, overwrite) as run_dir:
-        reports = run_simulation(cfg, checkpoint_dir=run_dir).reports
-        write_outputs(run_dir, cfg, run_id, reports)
+def _run_into(run_dir: Path, run_id: str, cfg: ExperimentConfig) -> list[RoundReport]:
+    """Simulate ``cfg`` into the existing ``run_dir`` (checkpoints included) and write its files."""
+    reports = run_simulation(cfg, checkpoint_dir=run_dir).reports
+    write_outputs(run_dir, cfg, run_id, reports)
     return reports
 
 
 def cmd_run(cfg: ExperimentConfig, args) -> None:
     run_id = _run_id(args, "run", cfg)
-    reports = _run_into(Path(args.out) / run_id, run_id, cfg, args.overwrite)
+    with _fresh_dir(Path(args.out) / run_id, args.overwrite) as run_dir:
+        reports = _run_into(run_dir, run_id, cfg)
     print(f"run {run_id}: {len(reports)} rounds -> {Path(args.out) / run_id}")
 
 
@@ -158,6 +157,7 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> None:
     with _fresh_dir(out / run_id, args.overwrite) as sweep_dir:
         comparison = ["algorithm,accuracy,d_cosine,d_manhattan"]
         for algorithm in algorithms:
+            (sweep_dir / algorithm).mkdir()
             reports = _run_into(sweep_dir / algorithm, f"{run_id}/{algorithm}",
                                 replace(cfg, algorithm=algorithm))
             finals = [getattr(reports[-1], name) if reports else math.nan

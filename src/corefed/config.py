@@ -202,6 +202,16 @@ def _reject_unknown(raw: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown {where} key(s): {', '.join(unknown)}")
 
 
+def _unique_keys(path, pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict; a key given twice would silently keep only its last value."""
+    raw = {}
+    for key, value in pairs:
+        if key in raw:
+            raise ConfigError(f"{path}: key {key!r} given more than once")
+        raw[key] = value
+    return raw
+
+
 def parse_config(path) -> ExperimentConfig:
     """Load and validate a JSON config file; missing keys take defaults."""
     text = Path(path).read_text(encoding="utf-8")
@@ -209,7 +219,7 @@ def parse_config(path) -> ExperimentConfig:
         raw = {}
     else:
         try:
-            raw = json.loads(text)
+            raw = json.loads(text, object_pairs_hook=lambda pairs: _unique_keys(path, pairs))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     if not isinstance(raw, dict):

@@ -138,12 +138,11 @@ def backward(params: np.ndarray, spec: ModelSpec, batch: Dataset) -> np.ndarray:
     delta /= n
 
     grads: list[tuple[np.ndarray, np.ndarray]] = [(activations[-1].T @ delta, delta.sum(axis=0))]
-    upstream = delta @ w_out.T
+    upstream = delta
     for layer_index in range(len(layers) - 2, -1, -1):
-        w, _ = layers[layer_index]
-        upstream = upstream * (activations[layer_index + 1] > 0.0)
+        # back through the layer above; nothing reads the product through the input layer
+        upstream = (upstream @ layers[layer_index + 1][0].T) * (activations[layer_index + 1] > 0.0)
         grads.append((activations[layer_index].T @ upstream, upstream.sum(axis=0)))
-        upstream = upstream @ w.T
     grads.reverse()
     return flatten(grads)
 

@@ -66,6 +66,14 @@ class TestLedger:
             ledger.record_round(t, {3})
         assert ledger.client_rounds == {1: [1], 2: [2]}
 
+    @pytest.mark.parametrize("client", [0, -3])
+    def test_client_id_below_one_rejected(self, client):
+        # shards are numbered from 1, so no run records a lower id
+        ledger = ledger_with_history([{1}])
+        with pytest.raises(InvariantError, match=f"round 2 records client {client}"):
+            ledger.record_round(2, {client, 2})
+        assert ledger.client_rounds == {1: [1]} and ledger.last_round == 1
+
     def test_cached_gradient_is_a_read_only_copy(self):
         # A checkpoint keeps each cached gradient's digest until the client's
         # next cache_gradient, so nothing may rewrite the cached bytes in place.

@@ -1,6 +1,7 @@
 import errno
 import hashlib
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -59,6 +60,15 @@ class TestVectorFile:
             read_vector(path)
 
 
+def edited(edit):
+    """``edit`` applied to the parsed ledger.json, written back as save_ledger formats it."""
+    def apply(text):
+        document = json.loads(text)
+        edit(document)
+        return json.dumps(document, indent=2) + "\n"
+    return apply
+
+
 class TestLedgerCheckpoint:
     def test_round_trip_restores_everything(self, tmp_path):
         ledger = sample_ledger()
@@ -85,34 +95,44 @@ class TestLedgerCheckpoint:
         with pytest.raises(TruncatedFileError):
             load_ledger(tmp_path / "ledger.json", tmp_path / "gradients.bin")
 
-    @pytest.mark.parametrize("edit, message", [
-        (lambda d: d["history"].update({"x": [1]}), "history key 'x'"),
-        (lambda d: d["history"].update({"01": [3]}), "history key '01'"),
-        (lambda d: d["history"].update({"0": [3]}), "round 0, before round 1"),
-        (lambda d: d["history"].update({"-2": [3]}), "round -2, before round 1"),
-        (lambda d: d["history"].update({"2": [2, 2]}), "round 2 must list distinct client ids"),
-        (lambda d: d["history"].update({"3": []}), "round 3 must list distinct client ids"),
-        (lambda d: d["history"].update({"2": ["2"]}), "round 2 must list distinct client ids"),
-        (lambda d: d["history"].update({"2": [2.0]}), "round 2 must list distinct client ids"),
-        (lambda d: d["last_participation"].update({"2": 1}), "last_participation disagrees"),
-        (lambda d: d["last_similarity"].pop("3"), "cover different clients"),
-        (lambda d: d["gradient_cache"].pop(), "cover different clients"),
-        (lambda d: d["last_similarity"].update({"4": 0.5}), "cover different clients"),
-        (lambda d: (d["last_similarity"].update({"4": d["last_similarity"].pop("3")}),
-                    d["gradient_cache"][-1].update({"client": 4})), "absent from history"),
-        (lambda d: d["gradient_cache"][0].update({"client": 2}), "lists a client twice"),
+    @pytest.mark.parametrize("edit, damaged", [
+        (edited(lambda d: d["history"].update({"x": [1]})), "ledger.json"),
+        (edited(lambda d: d["history"].update({"01": [3]})), "ledger.json"),
+        (edited(lambda d: d["history"].update({"0": [3]})), "ledger.json"),
+        (edited(lambda d: d["history"].update({"-2": [3]})), "ledger.json"),
+        (edited(lambda d: d["history"].update({"2": [2, 2]})), "ledger.json"),
+        (edited(lambda d: d["history"].update({"3": []})), "ledger.json"),
+        (edited(lambda d: d["history"].update({"2": ["2"]})), "ledger.json"),
+        (edited(lambda d: d["history"].update({"2": [2.0]})), "ledger.json"),
+        (edited(lambda d: (d["history"].update({"3": [0]}),
+                           d.update(last_participation={"0": 3, **d["last_participation"]}))),
+         "ledger.json"),
+        (edited(lambda d: d["last_participation"].update({"2": 1})), "ledger.json"),
+        (edited(lambda d: d["last_similarity"].pop("3")), "ledger.json"),
+        (edited(lambda d: d["gradient_cache"].pop()), "gradients.bin"),
+        (edited(lambda d: d["last_similarity"].update({"4": 0.5})), "ledger.json"),
+        (edited(lambda d: (d["last_similarity"].update({"4": d["last_similarity"].pop("3")}),
+                           d["gradient_cache"][-1].update({"client": 4}))), "ledger.json"),
+        (edited(lambda d: d["gradient_cache"][0].update({"client": 2})), "ledger.json"),
+        (lambda text: text.replace('    "2": [\n      2\n    ]\n',
+                                   '    "2": [\n      2\n    ],\n    "2": [\n      2\n    ]\n'),
+         "ledger.json"),
+        (lambda text: text.replace('    "1": 0.25,\n', '    "1": 0.25,\n    "1": 0.25,\n'),
+         "ledger.json"),
+        (edited(lambda d: d.update(history=d.pop("history"))), "ledger.json"),
     ], ids=["round-not-integer", "round-named-twice", "round-zero", "round-negative",
             "member-twice", "round-without-members", "member-not-integer", "member-float",
-            "last-participation", "similarity-missing", "gradient-missing", "similarity-only",
-            "cached-client-never-recorded", "client-cached-twice"])
-    def test_ledger_no_run_writes_is_rejected(self, tmp_path, edit, message):
-        # Every run records a round before it caches, and caches a client's
-        # gradient and similarity together, once.
+            "member-below-one", "last-participation", "similarity-missing", "gradient-missing",
+            "similarity-only", "cached-client-never-recorded", "client-cached-twice",
+            "history-key-repeated", "similarity-key-repeated", "top-level-keys-reordered"])
+    def test_ledger_no_run_writes_is_rejected(self, tmp_path, edit, damaged):
+        # Every edit keeps save_ledger's formatting, so only the edit itself
+        # differs from a file a run writes.
         save_ledger(sample_ledger(), tmp_path / "ledger.json", tmp_path / "gradients.bin")
-        document = json.loads((tmp_path / "ledger.json").read_text(encoding="utf-8"))
-        edit(document)
-        (tmp_path / "ledger.json").write_text(json.dumps(document), encoding="utf-8")
-        with pytest.raises(FormatError, match=f"ledger.json: .*{message}"):
+        text = (tmp_path / "ledger.json").read_text(encoding="utf-8")
+        assert edit(text) != text
+        (tmp_path / "ledger.json").write_text(edit(text), encoding="utf-8")
+        with pytest.raises((FormatError, TruncatedFileError), match=re.escape(str(tmp_path / damaged))):
             load_ledger(tmp_path / "ledger.json", tmp_path / "gradients.bin")
 
 
@@ -176,6 +196,15 @@ ledger_ops = st.lists(st.one_of(
 ), max_size=25)
 
 
+def apply_op(ledger, op, args):
+    """Apply one record or cache op of ``ledger_ops`` to ``ledger``; a save op does nothing."""
+    if op == "record":
+        ledger.record_round(ledger.last_round + 1, args[0])
+    elif op == "cache" and args[0] in ledger.client_rounds:
+        ledger.cache_gradient(args[0], np.array(args[1], dtype=np.float64))
+        ledger.cache_similarity(args[0], args[2])
+
+
 class TestDigestMemo:
     """save_ledger hashes a gradient once per cache_gradient; the kept digest must never go stale."""
 
@@ -183,17 +212,11 @@ class TestDigestMemo:
     @settings(max_examples=80, deadline=None)
     def test_every_save_matches_a_save_without_memo(self, ops):
         ledger = ParticipationLedger()
-        t = 0
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
             for op, *args in ops + [("save", False)]:
-                if op == "record":
-                    t += 1
-                    ledger.record_round(t, args[0])
-                elif op == "cache":
-                    if args[0] in ledger.client_rounds:
-                        ledger.cache_gradient(args[0], np.array(args[1], dtype=np.float64))
-                        ledger.cache_similarity(args[0], args[2])
+                if op != "save":
+                    apply_op(ledger, op, args)
                 else:
                     save_ledger(ledger, root / "ledger.json", root / "gradients.bin")
                     save_ledger(memo_free_copy(ledger), root / "fresh.json", root / "fresh.bin")
@@ -209,6 +232,22 @@ class TestDigestMemo:
                     assert offset == len(blob)
                     if args[0]:  # carry on from the checkpoint, with the digests load verified
                         ledger = load_ledger(root / "ledger.json", root / "gradients.bin")
+
+
+class TestLoadRoundTrip:
+    @given(ledger_ops)
+    @settings(max_examples=80, deadline=None)
+    def test_save_load_save_gives_the_same_bytes(self, ops):
+        ledger = ParticipationLedger()
+        for op, *args in ops:
+            apply_op(ledger, op, args)
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            save_ledger(ledger, root / "ledger.json", root / "gradients.bin")
+            restored = load_ledger(root / "ledger.json", root / "gradients.bin")
+            save_ledger(restored, root / "again.json", root / "again.bin")
+            for first, second in (("ledger.json", "again.json"), ("gradients.bin", "again.bin")):
+                assert (root / first).read_bytes() == (root / second).read_bytes()
 
 
 class DiskFull:
@@ -289,3 +328,7 @@ class TestWideWindowBytes:
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
         history = json.loads((tmp_path / "round_60" / "ledger.json").read_text())["history"]
         assert len(set().union(*history.values())) == 74
+        for t in (20, 40, 60):
+            ledger = load_ledger(tmp_path / f"round_{t}" / "ledger.json",
+                                 tmp_path / f"round_{t}" / "gradients.bin")
+            assert ledger.last_round == t

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 
 import pytest
 
@@ -55,6 +56,18 @@ class TestParseConfig:
     def test_unknown_nested_key_is_hard_error(self, tmp_path):
         path = write_config(tmp_path, {"dataset": {"kind": "synthetic", "size": 10}})
         with pytest.raises(ConfigError, match="size"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"rounds": 5, "rounds": 7}', "rounds"),
+        ('{"dataset": {"n": 100, "n": 200}}', "n"),
+    ], ids=["top-level", "nested"])
+    def test_repeated_key_is_hard_error(self, tmp_path, text, key):
+        # json.loads alone would keep the last value and run with it
+        path = tmp_path / "repeated.json"
+        path.write_text(text, encoding="utf-8")
+        message = f"{re.escape(str(path))}: key '{key}' given more than once"
+        with pytest.raises(ConfigError, match=message):
             parse_config(path)
 
     def test_parse_error_reports_line_and_column(self, tmp_path):
