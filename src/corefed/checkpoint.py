@@ -117,7 +117,12 @@ def load_ledger(json_path, gradients_path) -> ParticipationLedger:
     the records the manifest lists, each with its digest, and nothing more.
     """
     manifest = Path(json_path).read_bytes()
-    document = json.loads(manifest)
+    try:
+        document = json.loads(manifest)
+    except ValueError as exc:
+        raise FormatError(f"{json_path}: not a JSON document: {exc}") from exc
+    if not isinstance(document, dict):
+        raise FormatError(f"{json_path}: not a JSON object")
     if document.get("schema_version") != LEDGER_SCHEMA_VERSION:
         raise FormatError(f"{json_path}: unsupported ledger schema {document.get('schema_version')!r}")
     ledger = ParticipationLedger()
@@ -126,8 +131,9 @@ def load_ledger(json_path, gradients_path) -> ParticipationLedger:
             ledger.record_round(int(r), members)
         similarities = {int(c): float(s) for c, s in document["last_similarity"].items()}
         cache = [(int(e["client"]), int(e["length"]), e["sha256"]) for e in document["gradient_cache"]]
-    except (TypeError, ValueError, OverflowError, InvariantError) as exc:
-        raise FormatError(f"{json_path}: no run writes this ledger: {exc}") from exc
+    except (KeyError, AttributeError, TypeError, ValueError, OverflowError,
+            InvariantError) as exc:
+        raise FormatError(f"{json_path}: no run writes this ledger: {exc!r}") from exc
     with open(gradients_path, "rb") as fh:
         for cid, length, digest in cache:
             packed = fh.read(8 + length * 8)

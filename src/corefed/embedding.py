@@ -13,6 +13,7 @@ to ``client_embedding`` has already trained this round.
 from __future__ import annotations
 
 import logging
+from itertools import combinations
 
 import numpy as np
 
@@ -64,26 +65,25 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.clip(np.dot(a, b) / (norm_a * norm_b), -1.0, 1.0))
 
 
-def contrastive_loss(i: int, embeddings: dict[int, np.ndarray], z_global: np.ndarray,
-                     tau_c: float) -> float | None:
-    """Temperature-scaled InfoNCE score of client ``i`` against its peers.
+def contrastive_loss(positive: float, negatives: list[float], tau_c: float) -> float | None:
+    """Temperature-scaled InfoNCE score of a client against its peers.
 
-    Positive pair is (client, global); negatives are the other clients'
-    embeddings. Undefined with a single participant (returns None, never 0).
+    ``positive`` is the client's cosine with the global embedding (the
+    positive pair), ``negatives`` its cosines with the other clients'
+    embeddings; their order fixes the bits of the max and the log-sum-exp.
+    Undefined without peers (returns None, never 0).
     """
-    if len(embeddings) < 2:
+    if not negatives:
         return None
-    z_i = embeddings[i]
-    positive = cosine(z_i, z_global) / tau_c
-    negatives = np.array([cosine(z_i, z) for cid, z in embeddings.items() if cid != i]) / tau_c
-    peak = negatives.max()
-    log_denominator = peak + np.log(np.exp(negatives - peak).sum())
-    return float(log_denominator - positive)
+    scaled = np.array(negatives) / tau_c
+    peak = scaled.max()
+    log_denominator = peak + np.log(np.exp(scaled - peak).sum())
+    return float(log_denominator - positive / tau_c)
 
 
-def alignment_vector(z_i: np.ndarray, z_global: np.ndarray) -> np.ndarray:
+def alignment_vector(score: float, z_global: np.ndarray) -> np.ndarray:
     """Global embedding scaled by the client's alignment score cos(z_i, z_g)."""
-    return cosine(z_i, z_global) * z_global
+    return score * z_global
 
 
 def distill(z_i: np.ndarray, z_align: np.ndarray, beta: float) -> np.ndarray:
@@ -98,13 +98,20 @@ def build_alignment_records(embeddings: dict[int, np.ndarray], z_global: np.ndar
 
     For each participant: alignment vector, distilled embedding and the
     refined-vs-global similarity used by the aggregation weights, plus the
-    contrastive diagnostic. Returns (similarities, contrastive losses), both
-    keyed by client id in ascending order.
+    contrastive diagnostic. Each cosine between two embeddings is computed
+    once (``cosine`` is symmetric), and a client's negatives follow the
+    order of ``embeddings``. Returns (similarities, contrastive losses),
+    both keyed by client id in ascending order.
     """
+    to_global = {cid: cosine(z, z_global) for cid, z in embeddings.items()}
+    between = {}
+    for a, b in combinations(embeddings, 2):
+        between[a, b] = between[b, a] = cosine(embeddings[a], embeddings[b])
     similarities, losses = {}, {}
     for cid in sorted(embeddings):
         raw = embeddings[cid]
-        refined = distill(raw, alignment_vector(raw, z_global), beta)
+        refined = distill(raw, alignment_vector(to_global[cid], z_global), beta)
         similarities[cid] = cosine(refined, z_global)
-        losses[cid] = contrastive_loss(cid, embeddings, z_global, tau_c)
+        losses[cid] = contrastive_loss(
+            to_global[cid], [between[cid, peer] for peer in embeddings if peer != cid], tau_c)
     return similarities, losses

@@ -51,25 +51,49 @@ def d_manhattan(client_params: np.ndarray, global_params: np.ndarray) -> float:
     return float(np.abs(client_params - global_params).sum())
 
 
-def evaluate_accuracy(global_params: np.ndarray, spec: ModelSpec,
-                      shards: list[Shard]) -> tuple[float, dict[int, float]]:
-    """Per-client argmax accuracy on test slices, plus the unweighted mean.
+@dataclass(frozen=True)
+class EvaluationPlan:
+    """Every non-empty test slice of a run, concatenated once in shard order.
 
-    All non-empty test slices go through one forward pass; hit counts are
-    split back per client. Clients with empty test slices are excluded from
-    the mean. Argmax ties resolve to the lowest class index.
+    Slice ``i`` is ``data[starts[i] : starts[i] + sizes[i]]`` and belongs to
+    client ``client_ids[i]``.
+    """
+
+    data: Dataset
+    starts: np.ndarray
+    sizes: np.ndarray
+    client_ids: tuple[int, ...]
+
+
+def evaluation_plan(spec: ModelSpec, shards: list[Shard]) -> EvaluationPlan:
+    """Build the plan ``evaluate_accuracy`` scores each round against.
+
+    Clients with empty test slices are left out. Raises MeasurementError when
+    no shard has a non-empty test slice, since no round could be scored.
     """
     tested = [shard for shard in shards if len(shard.test)]
     if not tested:
         raise MeasurementError("no shard has a non-empty test slice")
-    labels = np.concatenate([shard.test.labels for shard in tested])
-    inputs = np.concatenate([shard.test.inputs for shard in tested])
-    _, logits = forward(global_params, spec, Dataset(inputs, labels, spec.num_classes))
-    sizes = [len(shard.test) for shard in tested]
-    starts = np.cumsum([0, *sizes[:-1]])
-    hits = np.add.reduceat((logits.argmax(axis=1) == labels).astype(np.int64), starts)
-    per_client = {shard.client_id: float(h / n) for shard, h, n in zip(tested, hits, sizes)}
-    return float(np.mean(list(per_client.values()))), per_client
+    data = Dataset(np.concatenate([shard.test.inputs for shard in tested]),
+                   np.concatenate([shard.test.labels for shard in tested]), spec.num_classes)
+    sizes = np.array([len(shard.test) for shard in tested])
+    starts = np.cumsum(sizes) - sizes
+    return EvaluationPlan(data, starts, sizes, tuple(shard.client_id for shard in tested))
+
+
+def evaluate_accuracy(global_params: np.ndarray, spec: ModelSpec,
+                      plan: EvaluationPlan) -> tuple[float, dict[int, float]]:
+    """Per-client argmax accuracy on the plan's test slices, plus the unweighted mean.
+
+    One forward pass scores every slice; hit counts are split back per
+    client. Argmax ties resolve to the lowest class index.
+    """
+    _, logits = forward(global_params, spec, plan.data)
+    hits = np.add.reduceat(logits.argmax(axis=1) == plan.data.labels, plan.starts,
+                           dtype=np.int64)
+    accuracies = hits / plan.sizes
+    per_client = dict(zip(plan.client_ids, accuracies.tolist()))
+    return float(np.mean(accuracies)), per_client
 
 
 def fairness_summary(local_models: dict[int, np.ndarray],

@@ -52,14 +52,22 @@ class ModelSpec:
             raise ConfigError("hidden_dims must be a non-empty list of positive widths")
         if self.activation != "relu":
             raise ConfigError(f"unsupported activation {self.activation!r}")
+        # (fan_in, fan_out, weight start, bias start, bias end) per layer in the
+        # flat vector; not a dataclass field, so equality and hashing ignore it
+        widths = (self.input_dim, *self.hidden_dims, self.num_classes)
+        layout, offset = [], 0
+        for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+            bias = offset + fan_in * fan_out
+            layout.append((fan_in, fan_out, offset, bias, bias + fan_out))
+            offset = bias + fan_out
+        object.__setattr__(self, "_layout", tuple(layout))
 
     def layer_shapes(self) -> list[tuple[int, int]]:
         """(fan_in, fan_out) for every layer including the output layer."""
-        widths = (self.input_dim, *self.hidden_dims, self.num_classes)
-        return list(zip(widths[:-1], widths[1:]))
+        return [(fan_in, fan_out) for fan_in, fan_out, *_ in self._layout]
 
     def num_params(self) -> int:
-        return sum((fi + 1) * fo for fi, fo in self.layer_shapes())
+        return self._layout[-1][-1]
 
 
 def unflatten(params: np.ndarray, spec: ModelSpec) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -67,15 +75,8 @@ def unflatten(params: np.ndarray, spec: ModelSpec) -> list[tuple[np.ndarray, np.
     if params.shape != (spec.num_params(),):
         raise ValueError(f"parameter vector has length {params.shape}, "
                          f"spec needs {spec.num_params()}")
-    layers = []
-    offset = 0
-    for fan_in, fan_out in spec.layer_shapes():
-        w = params[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
-        offset += fan_in * fan_out
-        b = params[offset : offset + fan_out]
-        offset += fan_out
-        layers.append((w, b))
-    return layers
+    return [(params[start:bias].reshape(fan_in, fan_out), params[bias:end])
+            for fan_in, fan_out, start, bias, end in spec._layout]
 
 
 def flatten(layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -98,14 +99,31 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
     return flatten(layers)
 
 
+def _relu_layers(layers, inputs: np.ndarray) -> list[np.ndarray]:
+    """Activations of every hidden layer, each built in its own new array.
+
+    ``h = a @ w; h += b; maximum(h, 0, out=h)`` gives the same bits as
+    ``maximum(a @ w + b, 0)`` without its two temporaries; ``inputs`` is
+    never written.
+    """
+    activations = []
+    activation = inputs
+    for w, b in layers:
+        activation = activation @ w
+        activation += b
+        np.maximum(activation, 0.0, out=activation)
+        activations.append(activation)
+    return activations
+
+
 def forward(params: np.ndarray, spec: ModelSpec, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Return (embeddings, logits): last hidden activations and class scores."""
     layers = unflatten(params, spec)
-    activation = data.inputs
-    for w, b in layers[:-1]:
-        activation = np.maximum(activation @ w + b, 0.0)
+    embeddings = _relu_layers(layers[:-1], data.inputs)[-1]
     w_out, b_out = layers[-1]
-    return activation, activation @ w_out + b_out
+    logits = embeddings @ w_out
+    logits += b_out
+    return embeddings, logits
 
 
 def loss(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -118,37 +136,47 @@ def loss(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(log_norm - picked))
 
 
-def backward(params: np.ndarray, spec: ModelSpec, batch: Dataset) -> np.ndarray:
+def backward(params: np.ndarray, spec: ModelSpec, batch: Dataset,
+             out: np.ndarray | None = None) -> np.ndarray:
     """Gradient of ``loss(forward(...))`` w.r.t. the flat parameter vector;
-    ``batch`` must be non-empty."""
+    ``batch`` must be non-empty.
+
+    The gradient is written into ``out`` (a new vector when None) through its
+    per-layer views, and ``out`` is returned.
+    """
     layers = unflatten(params, spec)
+    grad = np.empty(spec.num_params()) if out is None else out
+    grads = unflatten(grad, spec)
     n = len(batch.inputs)
 
-    activations = [batch.inputs]
-    for w, b in layers[:-1]:
-        activations.append(np.maximum(activations[-1] @ w + b, 0.0))
+    activations = [batch.inputs, *_relu_layers(layers[:-1], batch.inputs)]
     w_out, b_out = layers[-1]
-    logits = activations[-1] @ w_out + b_out
+    delta = activations[-1] @ w_out
+    delta += b_out
 
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    delta = probs
+    # softmax in place on the logits, then d(loss)/d(logits)
+    delta -= delta.max(axis=1, keepdims=True)
+    np.exp(delta, out=delta)
+    delta /= delta.sum(axis=1, keepdims=True)
     delta[np.arange(n), batch.labels] -= 1.0
     delta /= n
 
-    grads: list[tuple[np.ndarray, np.ndarray]] = [(activations[-1].T @ delta, delta.sum(axis=0))]
-    upstream = delta
-    for layer_index in range(len(layers) - 2, -1, -1):
-        # back through the layer above; nothing reads the product through the input layer
-        upstream = (upstream @ layers[layer_index + 1][0].T) * (activations[layer_index + 1] > 0.0)
-        grads.append((activations[layer_index].T @ upstream, upstream.sum(axis=0)))
-    grads.reverse()
-    return flatten(grads)
+    last = len(layers) - 1
+    for layer_index in range(last, -1, -1):
+        if layer_index < last:
+            # back through the layer above; nothing reads the product through the input layer
+            delta = delta @ layers[layer_index + 1][0].T
+            delta *= activations[layer_index + 1] > 0.0
+        gw, gb = grads[layer_index]
+        np.matmul(activations[layer_index].T, delta, out=gw)
+        delta.sum(axis=0, out=gb)
+    return grad
 
 
-def sgd_step(params: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
-    return params - lr * grad
+def sgd_step(params: np.ndarray, grad: np.ndarray, lr: float) -> None:
+    """Update ``params`` in place to ``params - lr * grad``; ``grad`` is scaled by ``lr``."""
+    grad *= lr
+    params -= grad
 
 
 def local_train(params: np.ndarray, spec: ModelSpec, shard: Shard, epochs: int,
@@ -157,15 +185,17 @@ def local_train(params: np.ndarray, spec: ModelSpec, shard: Shard, epochs: int,
 
     Runs ``epochs`` full passes; the last partial batch is trained on, not
     dropped. A fixed ``rng`` state makes the result bitwise reproducible.
-    Raises ``ClientSkipped`` when the shard has no training data.
+    Returns a new vector and leaves ``params`` unchanged. Raises
+    ``ClientSkipped`` when the shard has no training data.
     """
     n = len(shard.train)
     if n == 0:
         raise ClientSkipped(f"client {shard.client_id} has no training data")
     current = params.copy()
+    grad = np.empty_like(current)
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             batch = shard.train.subset(order[start : start + batch_size])
-            current = sgd_step(current, backward(current, spec, batch), lr)
+            sgd_step(current, backward(current, spec, batch, grad), lr)
     return current

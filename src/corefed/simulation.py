@@ -25,7 +25,13 @@ from .config import ALGORITHMS, ExperimentConfig, IdxSource, SyntheticSource
 from .data import Dataset, Shard, dirichlet_partition, gen_synthetic, load_idx, split_test
 from .embedding import build_alignment_records, client_embedding, cosine, global_embedding
 from .errors import ConfigError, NumericalError
-from .metrics import RoundReport, evaluate_accuracy, fairness_summary
+from .metrics import (
+    EvaluationPlan,
+    RoundReport,
+    evaluate_accuracy,
+    evaluation_plan,
+    fairness_summary,
+)
 from .nn import ModelSpec, init_params, local_train
 from .rng import derive_seed, substream
 
@@ -89,8 +95,8 @@ def initial_params(config: ExperimentConfig) -> np.ndarray:
     return init_params(config.model, substream(config.seed, "init"))
 
 
-def run_round(state: RunState, config: ExperimentConfig,
-              shards: list[Shard]) -> tuple[RunState, RoundReport]:
+def run_round(state: RunState, config: ExperimentConfig, shards: list[Shard],
+              plan: EvaluationPlan) -> tuple[RunState, RoundReport]:
     """Execute one round and return the advanced state plus its report.
 
     The algorithm's two switches shape the round: ``align`` takes each
@@ -100,6 +106,7 @@ def run_round(state: RunState, config: ExperimentConfig,
     With neither, no embedding pass runs and the round is plain FedAvg.
     Every sampled client trains; a shard without training data stops the run
     with ``ClientSkipped``, a dead last hidden layer with ``NumericalError``.
+    The new global model is scored against ``plan``, built from ``shards``.
     """
     t = state.round + 1
     align, fair = ALGORITHMS[config.algorithm]
@@ -141,7 +148,7 @@ def run_round(state: RunState, config: ExperimentConfig,
         total = sum(sizes.values())
         weights = {cid: sizes[cid] / total for cid in active}
 
-    mean_accuracy, per_client = evaluate_accuracy(new_params, config.model, shards)
+    mean_accuracy, per_client = evaluate_accuracy(new_params, config.model, plan)
     d_cos_mean, d_man_mean = fairness_summary(local_models, new_params)
     report = RoundReport(
         round=t,
@@ -170,7 +177,8 @@ def run_simulation(config: ExperimentConfig, shards: list[Shard] | None = None,
 
     ``shards`` may be injected (tests, pre-built partitions); by default they
     are derived from the config seed. Injected shards are checked once
-    against the model here, so nothing further in needs to check them.
+    against the model here, so nothing further in needs to check them. The
+    evaluation plan is built once, before the first round trains.
     """
     if shards is None:
         shards = build_shards(config)
@@ -178,10 +186,11 @@ def run_simulation(config: ExperimentConfig, shards: list[Shard] | None = None,
         for shard in shards:
             _check_fits(config.model, shard.train, f"client {shard.client_id} train")
             _check_fits(config.model, shard.test, f"client {shard.client_id} test")
+    plan = evaluation_plan(config.model, shards)
     state = RunState(0, initial_params(config), ParticipationLedger(), config.seed)
     reports: list[RoundReport] = []
     for _ in range(config.rounds):
-        state, report = run_round(state, config, shards)
+        state, report = run_round(state, config, shards, plan)
         reports.append(report)
         if (checkpoint_dir is not None and config.checkpoint_interval > 0
                 and state.round % config.checkpoint_interval == 0):

@@ -21,7 +21,7 @@ from corefed.aggregation import (
 from corefed.cli import main
 from corefed.config import ExperimentConfig, IdxSource, SyntheticSource
 from corefed.data import Dataset
-from corefed.embedding import alignment_vector, contrastive_loss, distill
+from corefed.embedding import alignment_vector, contrastive_loss, cosine, distill
 from corefed.nn import ModelSpec, backward, forward, loss
 from corefed.simulation import run_simulation
 from tests.test_simulation import equal_shards
@@ -125,11 +125,13 @@ def test_criterion_4_golden_values():
     embeddings = {1: np.array([1.0, 0.0, 0.0]),
                   2: np.array([0.0, 1.0, 0.0]),
                   3: np.array([0.0, 0.0, 1.0])}
-    contrast = contrastive_loss(1, embeddings, np.array([1.0, 0.0, 0.0]), 1.0)
+    contrast = contrastive_loss(cosine(embeddings[1], np.array([1.0, 0.0, 0.0])),
+                                [cosine(embeddings[1], embeddings[2]),
+                                 cosine(embeddings[1], embeddings[3])], 1.0)
     ok_contrast = abs(contrast - (math.log(2) - 1)) < 1e-5
 
-    z_i = np.array([1.0, 0.0])
-    refined = distill(z_i, alignment_vector(z_i, np.array([0.0, 1.0])), 0.5)
+    z_i, z_global = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    refined = distill(z_i, alignment_vector(cosine(z_i, z_global), z_global), 0.5)
     ok_distill = np.allclose(refined, [0.5, 0.0], atol=1e-5)
 
     wa = fairness_weights([1, 2], {1: 1.0, 2: 1.0}, {1: 1.0, 2: -1.0}, gamma=2.0, k=2.0)

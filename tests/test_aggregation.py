@@ -241,7 +241,8 @@ class TestPseudoGradient:
         params = rng.uniform(-1, 1, spec.num_params())
         batch = Dataset(rng.normal(size=(6, 3)), rng.integers(0, 2, size=6), spec.num_classes)
         grad = backward(params, spec, batch)
-        local = sgd_step(params, grad, 0.05)
+        local = params.copy()
+        sgd_step(local, grad.copy(), 0.05)
         np.testing.assert_allclose(pseudo_gradient(params, local, 0.05), grad, rtol=1e-10)
 
     def test_scalar_arithmetic(self):

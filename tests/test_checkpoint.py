@@ -135,6 +135,22 @@ class TestLedgerCheckpoint:
         with pytest.raises((FormatError, TruncatedFileError), match=re.escape(str(tmp_path / damaged))):
             load_ledger(tmp_path / "ledger.json", tmp_path / "gradients.bin")
 
+    @pytest.mark.parametrize("edit", [
+        lambda text: text[:-4],
+        lambda text: "[1]\n",
+        edited(lambda d: d.pop("history")),
+        edited(lambda d: d.pop("last_similarity")),
+        edited(lambda d: d.pop("gradient_cache")),
+        edited(lambda d: d.update(history=list(d["history"].values()))),
+    ], ids=["not-json", "not-an-object", "history-missing", "similarity-section-missing",
+            "gradient-cache-missing", "history-a-list"])
+    def test_malformed_manifest_is_a_format_error(self, tmp_path, edit):
+        save_ledger(sample_ledger(), tmp_path / "ledger.json", tmp_path / "gradients.bin")
+        text = (tmp_path / "ledger.json").read_text(encoding="utf-8")
+        (tmp_path / "ledger.json").write_text(edit(text), encoding="utf-8")
+        with pytest.raises(FormatError, match=re.escape(str(tmp_path / "ledger.json"))):
+            load_ledger(tmp_path / "ledger.json", tmp_path / "gradients.bin")
+
 
 def saved_manifest_oracle(rounds):
     """``history`` and ``last_participation`` as a walk over the recorded rounds gives them."""

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from corefed import embedding
 from corefed.data import Dataset, Shard
 from corefed.embedding import (
     _NORM_EPS,
@@ -20,6 +21,12 @@ from corefed.errors import NumericalError, ProtocolError
 from corefed.nn import ModelSpec, forward
 
 finite_vectors = st.lists(st.floats(-10, 10), min_size=2, max_size=6)
+
+
+def client_contrastive_loss(i, embeddings, z_global, tau_c):
+    """Client ``i``'s InfoNCE score, each cosine taken on its own, peers in dict order."""
+    negatives = [cosine(embeddings[i], z) for cid, z in embeddings.items() if cid != i]
+    return contrastive_loss(cosine(embeddings[i], z_global), negatives, tau_c)
 
 
 def shard_with(inputs, labels, num_classes=2):
@@ -114,7 +121,7 @@ class TestContrastiveLoss:
     def test_identical_pair_with_unit_temperature_is_zero(self):
         z = np.array([0.6, 0.8])
         embeddings = {1: z, 2: z.copy()}
-        assert contrastive_loss(1, embeddings, z, 1.0) == pytest.approx(0.0, abs=1e-12)
+        assert client_contrastive_loss(1, embeddings, z, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_computed_three_client_case(self):
         # client 1 aligned with the global, two orthogonal negatives
@@ -122,7 +129,7 @@ class TestContrastiveLoss:
                       2: np.array([0.0, 1.0, 0.0]),
                       3: np.array([0.0, 0.0, 1.0])}
         z_global = np.array([1.0, 0.0, 0.0])
-        value = contrastive_loss(1, embeddings, z_global, 1.0)
+        value = client_contrastive_loss(1, embeddings, z_global, 1.0)
         assert value == pytest.approx(math.log(2) - 1, abs=1e-12)
         assert value == pytest.approx(-0.3068528194400547, abs=1e-10)
 
@@ -130,14 +137,14 @@ class TestContrastiveLoss:
         rng = np.random.default_rng(0)
         embeddings = {i: rng.normal(size=4) for i in range(3)}
         z_global = rng.normal(size=4)
-        base = contrastive_loss(0, embeddings, z_global, 0.07)
-        scaled = contrastive_loss(0, {i: 3.0 * z for i, z in embeddings.items()},
+        base = client_contrastive_loss(0, embeddings, z_global, 0.07)
+        scaled = client_contrastive_loss(0, {i: 3.0 * z for i, z in embeddings.items()},
                                   3.0 * z_global, 0.07)
         assert scaled == pytest.approx(base, rel=1e-12)
 
     def test_single_client_returns_sentinel(self):
         z = np.array([1.0, 0.0])
-        assert contrastive_loss(1, {1: z}, z, 1.0) is None
+        assert client_contrastive_loss(1, {1: z}, z, 1.0) is None
 
     def test_strictly_decreasing_in_global_alignment(self):
         negatives = {2: np.array([0.0, 1.0]), 3: np.array([1.0, 1.0])}
@@ -145,7 +152,7 @@ class TestContrastiveLoss:
         for angle in (1.2, 0.8, 0.4, 0.1):
             z_i = np.array([math.cos(angle), math.sin(angle)])
             embeddings = {1: z_i, **negatives}
-            value = contrastive_loss(1, embeddings, np.array([1.0, 0.0]), 0.5)
+            value = client_contrastive_loss(1, embeddings, np.array([1.0, 0.0]), 0.5)
             assert value < previous
             previous = value
 
@@ -153,15 +160,16 @@ class TestContrastiveLoss:
 class TestAlignmentVector:
     def test_fully_aligned_returns_global(self):
         z = np.array([0.6, 0.8])
-        np.testing.assert_allclose(alignment_vector(z, z), z, rtol=1e-12)
+        np.testing.assert_allclose(alignment_vector(cosine(z, z), z), z, rtol=1e-12)
 
     def test_orthogonal_returns_zero(self):
-        np.testing.assert_allclose(alignment_vector(np.array([1.0, 0.0]), np.array([0.0, 1.0])),
-                                   np.zeros(2), atol=1e-15)
+        z_i, z_global = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        np.testing.assert_allclose(alignment_vector(cosine(z_i, z_global), z_global), np.zeros(2),
+                                   atol=1e-15)
 
     def test_anti_aligned_returns_negated_global(self):
         z = np.array([0.3, -0.4])
-        np.testing.assert_allclose(alignment_vector(-z, z), -z, rtol=1e-12)
+        np.testing.assert_allclose(alignment_vector(cosine(-z, z), z), -z, rtol=1e-12)
 
 
 class TestDistill:
@@ -176,7 +184,8 @@ class TestDistill:
     def test_hand_computed_orthogonal_case(self):
         # cos((1,0),(0,1)) = 0 so the alignment target is the zero vector
         z_i = np.array([1.0, 0.0])
-        z_align = alignment_vector(z_i, np.array([0.0, 1.0]))
+        z_global = np.array([0.0, 1.0])
+        z_align = alignment_vector(cosine(z_i, z_global), z_global)
         np.testing.assert_allclose(distill(z_i, z_align, 0.5), [0.5, 0.0], rtol=1e-12)
 
     @given(finite_vectors, st.floats(0, 1))
@@ -198,6 +207,17 @@ class TestAlignmentRecords:
         similarities, losses = build_alignment_records(embeddings, z_global, beta=0.5, tau_c=0.07)
         assert list(similarities) == list(losses) == [1, 2, 3]
         for cid, raw in embeddings.items():
-            refined = distill(raw, alignment_vector(raw, z_global), 0.5)
+            refined = distill(raw, alignment_vector(cosine(raw, z_global), z_global), 0.5)
             assert similarities[cid] == cosine(refined, z_global)
-            assert losses[cid] == contrastive_loss(cid, embeddings, z_global, 0.07)
+            assert losses[cid] == client_contrastive_loss(cid, embeddings, z_global, 0.07)
+
+    def test_each_cosine_is_computed_once(self, monkeypatch):
+        # per client: one cosine with the global and one of its refined
+        # embedding; per unordered pair of clients: one
+        calls = []
+        monkeypatch.setattr(embedding, "cosine", lambda a, b: calls.append(1) or cosine(a, b))
+        rng = np.random.default_rng(6)
+        embeddings = {i: rng.normal(size=5) for i in (4, 1, 3, 2)}
+        build_alignment_records(embeddings, global_embedding(list(embeddings.values())),
+                                beta=0.5, tau_c=0.07)
+        assert len(calls) == 4 + 4 + 6

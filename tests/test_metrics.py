@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 
 from corefed.data import Dataset, Shard
 from corefed.errors import MeasurementError
+from corefed import simulation
+from corefed.config import ExperimentConfig, SyntheticSource
 from corefed.metrics import (
     RoundReport,
     d_cosine,
     d_manhattan,
     evaluate_accuracy,
+    evaluation_plan,
     fairness_summary,
 )
 from corefed.nn import ModelSpec, forward
@@ -84,7 +87,8 @@ class TestEvaluateAccuracy:
         # all-zero logits: argmax tie resolves to class 0
         balanced = shard(1, np.random.default_rng(0).uniform(size=(8, 2)),
                          np.tile(np.arange(4), 2), 4)
-        mean, per_client = evaluate_accuracy(np.zeros(self.spec.num_params()), self.spec, [balanced])
+        mean, per_client = evaluate_accuracy(np.zeros(self.spec.num_params()), self.spec,
+                                             evaluation_plan(self.spec, [balanced]))
         assert mean == pytest.approx(0.25)
         assert per_client == {1: pytest.approx(0.25)}
 
@@ -92,7 +96,7 @@ class TestEvaluateAccuracy:
         rng = np.random.default_rng(5)
         params = rng.uniform(-1, 1, self.spec.num_params())
         s = shard(1, rng.uniform(size=(12, 2)), rng.integers(0, 4, size=12), 4)
-        _, per_client = evaluate_accuracy(params, self.spec, [s])
+        _, per_client = evaluate_accuracy(params, self.spec, evaluation_plan(self.spec, [s]))
 
         _, logits = forward(params, self.spec, s.test)
         hits = 0
@@ -109,15 +113,15 @@ class TestEvaluateAccuracy:
         empty = Dataset(np.empty((0, 2)), np.empty(0, dtype=np.int64), 4)
         with_data = shard(1, rng.uniform(size=(4, 2)), rng.integers(0, 4, size=4), 4)
         no_data = Shard(client_id=2, train=with_data.train, test=empty)
-        mean, per_client = evaluate_accuracy(np.zeros(self.spec.num_params()), self.spec,
-                                             [with_data, no_data])
+        plan = evaluation_plan(self.spec, [with_data, no_data])
+        mean, per_client = evaluate_accuracy(np.zeros(self.spec.num_params()), self.spec, plan)
         assert set(per_client) == {1}
 
     def test_all_empty_is_measurement_error(self):
         empty = Dataset(np.empty((0, 2)), np.empty(0, dtype=np.int64), 4)
         s = Shard(client_id=1, train=empty, test=empty)
         with pytest.raises(MeasurementError):
-            evaluate_accuracy(np.zeros(self.spec.num_params()), self.spec, [s])
+            evaluation_plan(self.spec, [s])
 
     def test_order_invariance(self):
         rng = np.random.default_rng(2)
@@ -125,8 +129,8 @@ class TestEvaluateAccuracy:
         inputs = rng.uniform(size=(10, 2))
         labels = rng.integers(0, 4, size=10)
         perm = rng.permutation(10)
-        a = evaluate_accuracy(params, self.spec, [shard(1, inputs, labels, 4)])
-        b = evaluate_accuracy(params, self.spec, [shard(1, inputs[perm], labels[perm], 4)])
+        a, b = (evaluate_accuracy(params, self.spec, evaluation_plan(self.spec, [s]))
+                for s in (shard(1, inputs, labels, 4), shard(1, inputs[perm], labels[perm], 4)))
         assert a[0] == b[0]
 
 
@@ -161,12 +165,40 @@ class TestOnePassMatchesPerSliceOracle:
             shards.append(Shard(client_id=cid, train=test, test=test))
         if not any(slice_sizes):
             with pytest.raises(MeasurementError):
-                evaluate_accuracy(params, spec, shards)
+                evaluation_plan(spec, shards)
             return
-        mean, per_client = evaluate_accuracy(params, spec, shards)
+        mean, per_client = evaluate_accuracy(params, spec, evaluation_plan(spec, shards))
         expected_mean, expected = per_slice_accuracy(params, spec, shards)
         assert list(per_client.items()) == list(expected.items())
         assert mean == expected_mean
+
+
+def plan_config(rounds):
+    return ExperimentConfig(rounds=rounds, clients=3, online_per_round=3, seed=7, batch_size=16,
+                            dataset=SyntheticSource(num_classes=3, input_dim=6, n=120))
+
+
+class TestPlanPerRun:
+    def test_no_test_slice_stops_the_run_before_any_training(self, monkeypatch):
+        cfg = plan_config(rounds=2)
+        shards = [Shard(client_id=s.client_id, train=s.train, test=s.train.subset(np.empty(0, int)))
+                  for s in simulation.build_shards(cfg)]
+        trained = []
+        monkeypatch.setattr(simulation, "local_train", lambda *args: trained.append(args))
+        with pytest.raises(MeasurementError, match="no shard has a non-empty test slice"):
+            simulation.run_simulation(cfg, shards=shards)
+        assert trained == []
+
+    def test_three_round_run_builds_one_plan(self, monkeypatch):
+        plans = []
+
+        def counted(*args):
+            plans.append(evaluation_plan(*args))
+            return plans[-1]
+
+        monkeypatch.setattr(simulation, "evaluation_plan", counted)
+        assert len(simulation.run_simulation(plan_config(rounds=3)).reports) == 3
+        assert len(plans) == 1
 
 
 class TestFairnessSummary:

@@ -177,15 +177,18 @@ class TestBackward:
 class TestSgdStep:
     def test_zero_gradient_is_identity(self):
         params = np.array([1.0, -2.0])
-        np.testing.assert_array_equal(sgd_step(params, np.zeros(2), 0.5), params)
+        sgd_step(params, np.zeros(2), 0.5)
+        np.testing.assert_array_equal(params, [1.0, -2.0])
 
     def test_unit_lr_self_gradient_zeroes(self):
         params = np.array([1.0, -2.0])
-        np.testing.assert_array_equal(sgd_step(params, params, 1.0), np.zeros(2))
+        sgd_step(params, params.copy(), 1.0)
+        np.testing.assert_array_equal(params, np.zeros(2))
 
     def test_elementwise_arithmetic(self):
-        np.testing.assert_allclose(sgd_step(np.array([1.0, 2.0]), np.array([0.5, -0.5]), 0.1),
-                                   [0.95, 2.05], rtol=1e-15)
+        params = np.array([1.0, 2.0])
+        sgd_step(params, np.array([0.5, -0.5]), 0.1)
+        np.testing.assert_allclose(params, [0.95, 2.05], rtol=1e-15)
 
 
 class TestLocalTrain:
@@ -203,7 +206,8 @@ class TestLocalTrain:
     def test_single_sample_single_epoch_equals_one_step(self):
         shard = make_shard(self.shard.train.inputs[:1], self.shard.train.labels[:1], 2)
         out = local_train(self.params, self.spec, shard, 1, 4, 0.1, np.random.default_rng(0))
-        expected = sgd_step(self.params, backward(self.params, self.spec, shard.train), 0.1)
+        expected = self.params.copy()
+        sgd_step(expected, backward(self.params, self.spec, shard.train), 0.1)
         np.testing.assert_array_equal(out, expected)
 
     def test_fixed_seed_is_bitwise_reproducible(self):
@@ -217,9 +221,10 @@ class TestLocalTrain:
         order = np.random.default_rng(1).permutation(10)
         first, second = (Dataset(self.shard.train.inputs[part], self.shard.train.labels[part], 2)
                          for part in (order[:7], order[7:]))
-        step1 = sgd_step(self.params, backward(self.params, self.spec, first), 0.1)
-        step2 = sgd_step(step1, backward(step1, self.spec, second), 0.1)
-        np.testing.assert_array_equal(full, step2)
+        expected = self.params.copy()
+        sgd_step(expected, backward(expected, self.spec, first), 0.1)
+        sgd_step(expected, backward(expected, self.spec, second), 0.1)
+        np.testing.assert_array_equal(full, expected)
 
     def test_empty_shard_raises_skip_signal(self):
         empty = Dataset(np.empty((0, 3)), np.empty(0, dtype=np.int64), 2)
@@ -241,3 +246,75 @@ class TestInitParams:
         a = init_params(spec, np.random.default_rng(123))
         b = init_params(spec, np.random.default_rng(123))
         assert np.array_equal(a, b)
+
+
+def oracle_forward(params, spec, data):
+    """The out-of-place forward pass, kept as the bitwise reference."""
+    layers = unflatten(params, spec)
+    activation = data.inputs
+    for w, b in layers[:-1]:
+        activation = np.maximum(activation @ w + b, 0.0)
+    w_out, b_out = layers[-1]
+    return activation, activation @ w_out + b_out
+
+
+def oracle_backward(params, spec, batch):
+    """The out-of-place gradient, assembled with ``flatten``, kept as the bitwise reference."""
+    layers = unflatten(params, spec)
+    n = len(batch.inputs)
+    activations = [batch.inputs]
+    for w, b in layers[:-1]:
+        activations.append(np.maximum(activations[-1] @ w + b, 0.0))
+    w_out, b_out = layers[-1]
+    logits = activations[-1] @ w_out + b_out
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    delta = exp / exp.sum(axis=1, keepdims=True)
+    delta[np.arange(n), batch.labels] -= 1.0
+    delta /= n
+    grads = [(activations[-1].T @ delta, delta.sum(axis=0))]
+    upstream = delta
+    for layer_index in range(len(layers) - 2, -1, -1):
+        upstream = (upstream @ layers[layer_index + 1][0].T) * (activations[layer_index + 1] > 0.0)
+        grads.append((activations[layer_index].T @ upstream, upstream.sum(axis=0)))
+    grads.reverse()
+    return flatten(grads)
+
+
+def oracle_local_train(params, spec, shard, epochs, batch_size, lr, rng):
+    """Mini-batch SGD with a new parameter vector per step, kept as the bitwise reference."""
+    current = params.copy()
+    for _ in range(epochs):
+        order = rng.permutation(len(shard.train))
+        for start in range(0, len(shard.train), batch_size):
+            batch = shard.train.subset(order[start : start + batch_size])
+            current = current - lr * oracle_backward(current, spec, batch)
+    return current
+
+
+class TestKernelsMatchOutOfPlaceOracle:
+    @given(input_dim=st.integers(1, 12),
+           hidden=st.lists(st.integers(1, 16), min_size=1, max_size=3),
+           classes=st.integers(1, 6), n=st.integers(1, 64), batch_size=st.integers(1, 64),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_bitwise_equal_and_no_input_written(self, input_dim, hidden, classes, n, batch_size,
+                                                seed):
+        rng = np.random.default_rng(seed)
+        spec = ModelSpec(input_dim, tuple(hidden), classes)
+        params = rng.normal(0.0, 1.0, spec.num_params())
+        batch = Dataset(rng.uniform(size=(n, input_dim)), rng.integers(0, classes, size=n), classes)
+        before = (params.tobytes(), batch.inputs.tobytes(), batch.labels.tobytes())
+
+        embeddings, logits = forward(params, spec, batch)
+        expected_embeddings, expected_logits = oracle_forward(params, spec, batch)
+        assert np.array_equal(embeddings, expected_embeddings)
+        assert np.array_equal(logits, expected_logits)
+        assert np.array_equal(backward(params, spec, batch), oracle_backward(params, spec, batch))
+        shard = Shard(client_id=1, train=batch, test=batch)
+        trained = local_train(params, spec, shard, 2, batch_size, 0.05, np.random.default_rng(seed))
+        expected = oracle_local_train(params, spec, shard, 2, batch_size, 0.05,
+                                      np.random.default_rng(seed))
+        assert np.array_equal(trained, expected)
+
+        assert (params.tobytes(), batch.inputs.tobytes(), batch.labels.tobytes()) == before

@@ -11,6 +11,7 @@ from corefed.aggregation import ParticipationLedger
 from corefed.config import ALGORITHMS, ExperimentConfig, SyntheticSource
 from corefed.data import Dataset, Shard, gen_synthetic
 from corefed.errors import ClientSkipped, ConfigError, NumericalError, PartitionError
+from corefed.metrics import evaluation_plan
 from corefed.simulation import (
     RunState,
     build_shards,
@@ -89,7 +90,7 @@ class TestRunRound:
         shards = equal_shards(3, 8)
         state = RunState(round=0, params=initial_params(cfg), ledger=ParticipationLedger(),
                          seed=cfg.seed)
-        new_state, report = run_round(state, cfg, shards)
+        new_state, report = run_round(state, cfg, shards, evaluation_plan(cfg.model, shards))
         assert len(report.online) == 1
         (only,) = report.online
         assert report.weights[only] == pytest.approx(1.0)
@@ -115,8 +116,9 @@ class TestRunRound:
                               ledger=ParticipationLedger(), seed=for_core.seed)
         state_re = RunState(round=0, params=initial_params(for_re),
                             ledger=ParticipationLedger(), seed=for_re.seed)
-        _, report_core = run_round(state_core, for_core, shards)
-        _, report_re = run_round(state_re, for_re, shards)
+        plan = evaluation_plan(for_core.model, shards)
+        _, report_core = run_round(state_core, for_core, shards, plan)
+        _, report_re = run_round(state_re, for_re, shards, plan)
         assert report_core.contrastive_losses == report_re.contrastive_losses
         assert report_core.weights != report_re.weights
 
@@ -178,9 +180,10 @@ class TestEverySampledClientTrains:
         shards = build_shards(cfg)
         state = RunState(round=0, params=initial_params(cfg), ledger=ParticipationLedger(),
                          seed=cfg.seed)
+        plan = evaluation_plan(cfg.model, shards)
         for _ in range(cfg.rounds):
             drawn = sample_clients(state, cfg)
-            state, report = run_round(state, cfg, shards)
+            state, report = run_round(state, cfg, shards, plan)
             assert report.online == drawn
 
     def test_smallest_accepted_tau_c_gives_finite_contrastive_losses(self):
@@ -222,8 +225,9 @@ class TestRunExperiment:
         state = RunState(round=0, params=initial_params(cfg), ledger=ParticipationLedger(),
                          seed=cfg.seed)
         previous = 0
+        plan = evaluation_plan(cfg.model, shards)
         for _ in range(cfg.rounds):
-            state, _ = run_round(state, cfg, shards)
+            state, _ = run_round(state, cfg, shards, plan)
             assert previous <= len(state.ledger.client_rounds) <= cfg.clients
             previous = len(state.ledger.client_rounds)
 
@@ -305,4 +309,12 @@ class TestBenchmarkTracerHooks:
         assert metrics["nn.train_samples"] == (cfg.local_epochs * trained, "count")
         tested = sum(len(s.test) for s in shards.values())
         assert metrics["metrics.eval_samples"] == (cfg.rounds * tested, "count")
+        # evaluation and training must go through the traced names, or the
+        # benchmark's per-layer metrics would read zero
+        assert metrics["metrics.eval_forward_calls"] == (cfg.rounds, "count")
+        minibatches = sum(cfg.local_epochs * -(-len(shards[cid].train) // cfg.batch_size)
+                          for r in reports for cid in r.online)
+        assert metrics["nn.backward.calls"] == (minibatches, "count")
+        calls = probe.self_times()[2]
+        assert calls["nn.sgd_step"] == calls["nn.backward"]
         assert tracer.untraced_problems() == []
