@@ -70,10 +70,6 @@ class PartitionPlan:
     seed: int
     assignment: np.ndarray = field(repr=False)
 
-    def client_indices(self, client: int) -> np.ndarray:
-        """Sample indices assigned to ``client`` (0-based), in dataset order."""
-        return np.flatnonzero(self.assignment == client)
-
 
 def gen_synthetic(num_classes: int, input_dim: int, n: int, seed: int) -> Dataset:
     """Generate separable Gaussian class blobs clipped to [0, 1].
@@ -92,8 +88,10 @@ def gen_synthetic(num_classes: int, input_dim: int, n: int, seed: int) -> Datase
     labels = np.empty(n, dtype=np.int64)
     offset = 0
     for c in range(num_classes):
-        block = means[c] + 0.3 * rng.standard_normal((counts[c], input_dim))
-        inputs[offset : offset + counts[c]] = np.clip(block, 0.0, 1.0)
+        block = rng.standard_normal(out=inputs[offset : offset + counts[c]])
+        block *= 0.3
+        block += means[c]
+        np.clip(block, 0.0, 1.0, out=block)
         labels[offset : offset + counts[c]] = c
         offset += counts[c]
     return Dataset(inputs, labels, num_classes)
@@ -128,7 +126,8 @@ def load_idx(images_path, labels_path) -> Dataset:
         raw_labels = _read_exact(fh, label_count, labels_path, "label data")
     if label_count != count:
         raise FormatError(f"image count {count} does not match label count {label_count}")
-    inputs = np.frombuffer(pixels, dtype=np.uint8).astype(np.float64).reshape(count, rows * cols) / 255.0
+    inputs = np.frombuffer(pixels, dtype=np.uint8).astype(np.float64).reshape(count, rows * cols)
+    inputs /= 255.0
     labels = np.frombuffer(raw_labels, dtype=np.uint8).astype(np.int64)
     num_classes = int(labels.max()) + 1 if count else 1
     return Dataset(inputs, labels, num_classes)
@@ -158,20 +157,14 @@ def dirichlet_partition(dataset: Dataset, m: int, alpha: float, seed: int) -> Pa
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     rng = np.random.default_rng(seed)
-    labels = dataset.labels
+    classes = [np.flatnonzero(dataset.labels == c) for c in range(dataset.num_classes)]
     for _ in range(_PARTITION_RETRIES):
         assignment = np.full(len(dataset), -1, dtype=np.int64)
-        for c in range(dataset.num_classes):
-            class_idx = np.flatnonzero(labels == c)
-            if not len(class_idx):
-                continue
+        for class_idx in filter(len, classes):  # an empty class takes no draws
             shuffled = rng.permutation(class_idx)
             counts = _largest_remainder(rng.dirichlet(np.full(m, alpha)), len(class_idx))
-            offset = 0
-            for client, count in enumerate(counts):
-                assignment[shuffled[offset : offset + count]] = client
-                offset += count
-        if len(np.unique(assignment[assignment >= 0])) == m:
+            assignment[shuffled] = np.repeat(np.arange(m), counts)
+        if np.bincount(assignment, minlength=m).all():
             return PartitionPlan(num_clients=m, seed=seed, assignment=assignment)
     raise PartitionError(f"no partition gave every client data after {_PARTITION_RETRIES} attempts "
                          f"(m={m}, alpha={alpha}, n={len(dataset)})")
@@ -182,28 +175,28 @@ def split_test(dataset: Dataset, plan: PartitionPlan, test_fraction: float) -> l
 
     Within a client, each class contributes round(k * test_fraction) test
     samples, floored at 1 when the class has at least 2 samples and capped
-    so that train keeps at least 1. Client ids are 1-based.
+    so that train keeps at least 1. Client ids are 1-based; samples assigned
+    outside 0..num_clients-1 belong to no shard.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must lie strictly between 0 and 1")
     rng = substream(plan.seed, "split")
-    shards = []
-    for client in range(plan.num_clients):
-        owned = plan.client_indices(client)
-        train_parts, test_parts = [], []
-        for c in range(dataset.num_classes):
-            class_idx = owned[dataset.labels[owned] == c]
-            k = len(class_idx)
-            if not k:
-                continue
-            if k == 1:
-                train_parts.append(class_idx)
-                continue
-            n_test = min(k - 1, max(1, round(k * test_fraction)))
-            order = rng.permutation(k)
-            test_parts.append(np.sort(class_idx[order[:n_test]]))
-            train_parts.append(np.sort(class_idx[order[n_test:]]))
-        train_idx = np.sort(np.concatenate(train_parts)) if train_parts else np.empty(0, dtype=np.int64)
-        test_idx = np.sort(np.concatenate(test_parts)) if test_parts else np.empty(0, dtype=np.int64)
-        shards.append(Shard(client + 1, dataset.subset(train_idx), dataset.subset(test_idx)))
-    return shards
+    m, num_classes, n = plan.num_clients, dataset.num_classes, len(dataset)
+    owned = np.flatnonzero((plan.assignment >= 0) & (plan.assignment < m))
+    # sorting key * n + index orders the indices by key stably, faster than argsort
+    packed = np.sort((plan.assignment[owned] * num_classes + dataset.labels[owned]) * n + owned)
+    grouped, groups = packed % n, packed // n
+    sizes = np.bincount(groups, minlength=m * num_classes)
+    starts = np.cumsum(sizes) - sizes
+    # a group shuffled in place draws as rng.permutation(k); its first n_test go to test
+    for start, k in zip(starts[sizes >= 2].tolist(), sizes[sizes >= 2].tolist()):
+        rng.shuffle(grouped[start : start + k])
+    n_test = np.minimum(sizes - 1, np.maximum(1, np.round(sizes * test_fraction).astype(np.int64)))
+    is_test = np.arange(len(grouped)) - np.repeat(starts, sizes) < np.repeat(n_test, sizes)
+    # each client's train run, then its test run, both in dataset order
+    runs = groups // num_classes * 2 + is_test
+    ordered = np.sort(runs * n + grouped) % n
+    inputs, labels = dataset.inputs[ordered], dataset.labels[ordered]
+    bounds = [0] + np.cumsum(np.bincount(runs, minlength=2 * m)).tolist()
+    parts = [Dataset(inputs[a:b], labels[a:b], num_classes) for a, b in zip(bounds, bounds[1:])]
+    return [Shard(client + 1, parts[2 * client], parts[2 * client + 1]) for client in range(m)]

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Dataset, Shard
-from .embedding import _NORM_EPS, cosine
+from .embedding import _NORM_EPS
 from .errors import MeasurementError
 from .nn import ModelSpec, forward
 
@@ -39,9 +40,15 @@ class RoundReport:
 
 def d_cosine(client_params: np.ndarray, global_params: np.ndarray) -> float:
     """Angular distance arccos(cos(client, global)) in [0, pi] radians."""
-    if np.linalg.norm(client_params) < _NORM_EPS or np.linalg.norm(global_params) < _NORM_EPS:
+    return _angle(client_params, global_params, np.linalg.norm(global_params))
+
+
+def _angle(params: np.ndarray, global_params: np.ndarray, global_norm: float) -> float:
+    """``d_cosine`` with the global model's norm already taken."""
+    norm = np.linalg.norm(params)
+    if norm < _NORM_EPS or global_norm < _NORM_EPS:
         raise MeasurementError("angular distance undefined for zero-norm parameters")
-    return float(np.arccos(cosine(client_params, global_params)))
+    return float(np.arccos(np.clip(np.dot(params, global_params) / (norm * global_norm), -1.0, 1.0)))
 
 
 def d_manhattan(client_params: np.ndarray, global_params: np.ndarray) -> float:
@@ -105,13 +112,12 @@ def fairness_summary(local_models: dict[int, np.ndarray],
     """
     if not local_models:
         raise ValueError("fairness summary needs at least one local model")
+    global_norm = np.linalg.norm(global_params)
     cosines = []
     manhattans = []
     for params in local_models.values():
-        try:
-            cosines.append(d_cosine(params, global_params))
-        except MeasurementError:
-            pass
+        with suppress(MeasurementError):
+            cosines.append(_angle(params, global_params, global_norm))
         manhattans.append(d_manhattan(params, global_params))
     cos_mean = float(np.mean(cosines)) if cosines else math.nan
     return cos_mean, float(np.mean(manhattans))

@@ -318,3 +318,23 @@ class TestBenchmarkTracerHooks:
         calls = probe.self_times()[2]
         assert calls["nn.sgd_step"] == calls["nn.backward"]
         assert tracer.untraced_problems() == []
+
+    @pytest.mark.parametrize("algorithm", ["corefed", "fedavg"])
+    def test_set_up_goes_through_the_traced_names_once(self, monkeypatch, algorithm):
+        # The benchmark's data metrics time one call of each set-up step and
+        # compare shard bytes with dataset bytes; the substream count is one
+        # split and one init stream, then one sampling stream per round and
+        # one shuffle stream per online client.
+        tracer = import_tracer(monkeypatch)
+        cfg = small_config(algorithm=algorithm, rounds=3)
+        with tracer.Tracer() as probe:
+            run_simulation(cfg)
+        metrics, _, problems = probe.layer_metrics()
+        assert problems == []
+        calls = probe.self_times()[2]
+        for name in ("data.gen_synthetic", "data.dirichlet_partition", "data.split_test"):
+            assert calls[name] == 1, name
+        assert metrics["data.shard_mb"] == metrics["data.dataset_mb"]
+        assert metrics["data.dataset_mb"][0] > 0
+        expected = 2 + cfg.rounds * (1 + cfg.resolved_online())
+        assert metrics["rng.substream.calls"] == (expected, "count")
