@@ -3,6 +3,11 @@
 A Dataset is a dense (n, input_dim) float64 matrix scaled to [0, 1] plus
 integer class labels. Client shards are produced by per-class Dirichlet
 allocation followed by a stratified train/test split inside each client.
+
+Arguments are trusted: sizes, class counts, ``alpha`` and ``test_fraction``
+come from a config that ``config._validate`` accepted, and
+``simulation._check_fits`` checks every dataset from outside (IDX files and
+injected shards) against the model before a round runs.
 """
 
 from __future__ import annotations
@@ -28,14 +33,6 @@ class Dataset:
     inputs: np.ndarray
     labels: np.ndarray
     num_classes: int
-
-    def __post_init__(self):
-        if self.inputs.ndim != 2 or self.labels.ndim != 1:
-            raise ValueError("inputs must be (n, d), labels must be (n,)")
-        if len(self.inputs) != len(self.labels):
-            raise ValueError("inputs and labels disagree on sample count")
-        if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
-            raise ValueError("labels out of range for num_classes")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -78,8 +75,6 @@ def gen_synthetic(num_classes: int, input_dim: int, n: int, seed: int) -> Datase
     samples add isotropic noise with sigma = 0.3. Class counts are balanced
     up to the remainder of n / num_classes.
     """
-    if num_classes < 1 or input_dim < 1 or n < 1:
-        raise ValueError("num_classes, input_dim and n must all be positive")
     rng = np.random.default_rng(seed)
     means = rng.uniform(0.0, 1.0, size=(num_classes, input_dim))
     counts = np.full(num_classes, n // num_classes, dtype=int)
@@ -152,10 +147,6 @@ def dirichlet_partition(dataset: Dataset, m: int, alpha: float, seed: int) -> Pa
     plan that leaves any client empty is redrawn (up to a bounded number of
     attempts).
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
     rng = np.random.default_rng(seed)
     classes = [np.flatnonzero(dataset.labels == c) for c in range(dataset.num_classes)]
     for _ in range(_PARTITION_RETRIES):
@@ -178,8 +169,6 @@ def split_test(dataset: Dataset, plan: PartitionPlan, test_fraction: float) -> l
     so that train keeps at least 1. Client ids are 1-based; samples assigned
     outside 0..num_clients-1 belong to no shard.
     """
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must lie strictly between 0 and 1")
     rng = substream(plan.seed, "split")
     m, num_classes, n = plan.num_clients, dataset.num_classes, len(dataset)
     owned = np.flatnonzero((plan.assignment >= 0) & (plan.assignment < m))

@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from .data import Shard
-from .errors import NumericalError, ProtocolError
+from .errors import NumericalError
 from .nn import ModelSpec, forward
 
 logger = logging.getLogger(__name__)
@@ -49,15 +49,11 @@ def client_embedding(params: np.ndarray, spec: ModelSpec, shard: Shard) -> np.nd
 
 def global_embedding(embeddings: list[np.ndarray]) -> np.ndarray:
     """Arithmetic mean of the participating clients' embeddings."""
-    if not embeddings:
-        raise ProtocolError("global embedding needs at least one client embedding")
     return np.stack(embeddings).mean(axis=0)
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity clamped to [-1, 1]; 0 when either input is near-zero."""
-    if a.shape != b.shape:
-        raise ValueError("vectors have different lengths")
     norm_a = np.linalg.norm(a)
     norm_b = np.linalg.norm(b)
     if norm_a < _NORM_EPS or norm_b < _NORM_EPS:

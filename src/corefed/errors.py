@@ -17,10 +17,6 @@ class PartitionError(RuntimeError):
     """Dirichlet partitioning could not satisfy its constraints."""
 
 
-class ProtocolError(RuntimeError):
-    """An aggregation-phase contract was violated (empty or mismatched inputs)."""
-
-
 class MeasurementError(RuntimeError):
     """A metric is undefined for the given inputs (e.g. zero-norm model)."""
 

@@ -24,7 +24,6 @@ class RoundReport:
     d_cosine_mean: float
     d_manhattan_mean: float
     contrastive_losses: dict[int, float | None] = field(repr=False)
-    weights: dict[int, float] = field(repr=False)
     learning_rate: float = 0.0
     online: frozenset[int] = frozenset()
 
@@ -53,8 +52,6 @@ def _angle(params: np.ndarray, global_params: np.ndarray, global_norm: float) ->
 
 def d_manhattan(client_params: np.ndarray, global_params: np.ndarray) -> float:
     """L1 distance over the flattened full parameter set."""
-    if client_params.shape != global_params.shape:
-        raise ValueError("parameter vectors have different lengths")
     return float(np.abs(client_params - global_params).sum())
 
 
@@ -110,8 +107,6 @@ def fairness_summary(local_models: dict[int, np.ndarray],
     Clients whose angular distance is unmeasurable (zero-norm model) are
     skipped from the cosine mean only.
     """
-    if not local_models:
-        raise ValueError("fairness summary needs at least one local model")
     global_norm = np.linalg.norm(global_params)
     cosines = []
     manhattans = []

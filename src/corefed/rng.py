@@ -24,8 +24,6 @@ _PURPOSES = {
 
 def substream(seed: int, purpose: str, round_index: int = 0, client_id: int = 0) -> np.random.Generator:
     """Return the generator for (seed, purpose, round, client)."""
-    if purpose not in _PURPOSES:
-        raise ValueError(f"unknown rng purpose: {purpose!r}")
     entropy = [int(seed), _PURPOSES[purpose], int(round_index), int(client_id)]
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
@@ -36,7 +34,5 @@ def derive_seed(seed: int, purpose: str) -> int:
     Used for operations whose public signature takes a plain seed
     (dataset generation, partitioning).
     """
-    if purpose not in _PURPOSES:
-        raise ValueError(f"unknown rng purpose: {purpose!r}")
     ss = np.random.SeedSequence([int(seed), _PURPOSES[purpose]])
     return int(ss.generate_state(1, np.uint64)[0])

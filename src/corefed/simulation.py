@@ -60,11 +60,18 @@ def sample_clients(state: RunState, config: ExperimentConfig) -> frozenset[int]:
 
 
 def _check_fits(spec: ModelSpec, data: Dataset, source: str) -> None:
-    """Reject ``data`` that ``spec`` cannot read: the one data-against-model rule.
+    """Reject ``data`` that ``spec`` cannot read: the one rule for data from outside.
 
-    The model must take the data's input width and score each of its
+    Inputs must be (n, d) with one label per row and every label in
+    [0, num_classes); the model must take width d and score each of the
     ``num_classes`` labels. ``source`` names the data in the message.
     """
+    inputs, labels = data.inputs, data.labels
+    if inputs.ndim != 2 or labels.shape != (len(inputs),):
+        raise ConfigError(f"{source} data needs one label per row of (n, d) inputs, "
+                          f"not {inputs.shape} inputs and {labels.shape} labels")
+    if len(labels) and not 0 <= labels.min() <= labels.max() < data.num_classes:
+        raise ConfigError(f"{source} labels must lie in [0, {data.num_classes})")
     if data.input_dim != spec.input_dim:
         raise ConfigError(f"model.input_dim {spec.input_dim} does not match "
                           f"{source} data dimension {data.input_dim}")
@@ -138,15 +145,12 @@ def run_round(state: RunState, config: ExperimentConfig, shards: list[Shard],
         assignment, merged = assemble_round(state.ledger, active, gradients, similarities,
                                             t, config.gamma, config.k)
         new_params = aggregate(state.params, assignment, merged, eta)
-        weights = dict(assignment.weights)
     else:
         # The ledger still records the round so participation accounting
         # stays comparable across algorithms; nothing reads a cache here.
         state.ledger.record_round(t, active)
         sizes = {cid: len(by_id[cid].train) for cid in active}
         new_params = fedavg_aggregate(local_models, sizes)
-        total = sum(sizes.values())
-        weights = {cid: sizes[cid] / total for cid in active}
 
     mean_accuracy, per_client = evaluate_accuracy(new_params, config.model, plan)
     d_cos_mean, d_man_mean = fairness_summary(local_models, new_params)
@@ -157,7 +161,6 @@ def run_round(state: RunState, config: ExperimentConfig, shards: list[Shard],
         d_cosine_mean=d_cos_mean,
         d_manhattan_mean=d_man_mean,
         contrastive_losses=contrastives,
-        weights=weights,
         learning_rate=eta,
         online=frozenset(active),
     )

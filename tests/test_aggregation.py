@@ -22,7 +22,7 @@ from corefed.aggregation import (
 )
 from corefed.checkpoint import load_ledger, save_ledger
 from corefed.data import Dataset
-from corefed.errors import InvariantError, NumericalError, ProtocolError
+from corefed.errors import InvariantError, NumericalError
 from corefed.nn import ModelSpec, backward, sgd_step
 
 
@@ -87,16 +87,6 @@ class TestLedger:
         with pytest.raises(ValueError, match="read-only"):
             ledger.last_gradient[1] += 1.0
         assert ledger.last_gradient[1].tolist() == [1.0, 2.0]
-
-
-class TestWeightAssignment:
-    @pytest.mark.parametrize("weights", [{1: math.nan, 2: 1.0}, {1: math.nan, 2: math.nan},
-                                         {1: 0.0, 2: 1.0}])
-    def test_weights_off_the_simplex_rejected(self, weights):
-        with pytest.raises(InvariantError):
-            WeightAssignment(weights=weights, window_tau=1,
-                             frequencies={cid: 1.0 for cid in weights},
-                             similarities={cid: 0.0 for cid in weights})
 
 
 class TestWindowLength:
@@ -207,14 +197,6 @@ class TestFairnessWeights:
         for cid in (1, 2, 3):
             assert scaled.weights[cid] == pytest.approx(base.weights[cid], rel=1e-12)
 
-    def test_non_positive_frequency_is_hard_error(self):
-        with pytest.raises(InvariantError):
-            fairness_weights([1], {1: 0.0}, {1: 0.5}, gamma=1.0, k=1.0)
-
-    def test_empty_membership_rejected(self):
-        with pytest.raises(ProtocolError):
-            fairness_weights([], {}, {}, gamma=1.0, k=1.0)
-
     @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
     def test_alignment_reward_underflow_names_client(self):
         # k = 1000 lies above ln(max float): exp(1000) overflows, so
@@ -275,7 +257,6 @@ class TestReuseGradient:
 
 
 def make_assignment(weights):
-    n = len(weights)
     return WeightAssignment(weights=weights, window_tau=1,
                             frequencies={c: 1.0 for c in weights},
                             similarities={c: 0.0 for c in weights})
@@ -302,10 +283,6 @@ class TestAggregate:
         out = aggregate(global_params, make_assignment({1: 1.0}), gradients, eta=0.2)
         np.testing.assert_allclose(out, local, rtol=1e-12)
 
-    def test_key_mismatch_rejected(self):
-        with pytest.raises(ProtocolError):
-            aggregate(np.zeros(1), make_assignment({1: 1.0}), {2: np.zeros(1)}, eta=0.1)
-
 
 class TestFedavgAggregate:
     def test_equal_sizes_average(self):
@@ -319,10 +296,6 @@ class TestFedavgAggregate:
     def test_single_client_identity(self):
         v = np.array([0.1, 0.2])
         np.testing.assert_allclose(fedavg_aggregate({1: v}, {1: 10}), v)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ProtocolError):
-            fedavg_aggregate({}, {})
 
 
 class TestAssembleRound:
@@ -404,10 +377,6 @@ class TestAssembleRound:
         with pytest.raises(NumericalError, match=r"round 1: client 1\b"):
             assemble_round(ParticipationLedger(), [1, 2], {c: np.array([1.0]) for c in (1, 2)},
                            {1: -1.0, 2: 1.0}, t=1, gamma=0.0, k=1000.0)
-
-    def test_fresh_maps_must_match_online(self):
-        with pytest.raises(ProtocolError):
-            assemble_round(ParticipationLedger(), [1], {}, {}, t=1, gamma=0.5, k=2.0)
 
 
 class TestWeightProperties:

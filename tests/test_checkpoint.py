@@ -338,10 +338,11 @@ WIDE_WINDOW_SHA256 = {
 
 
 class TestWideWindowBytes:
-    def test_checkpoints_at_a_wide_window_are_pinned(self, tmp_path):
+    def test_checkpoints_at_a_wide_window_are_pinned(self, tmp_path, byte_scope):
         run_simulation(WIDE_WINDOW_CONFIG, checkpoint_dir=tmp_path)
         for name, digest in WIDE_WINDOW_SHA256.items():
-            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, \
+                f"{name}: {byte_scope}"
         history = json.loads((tmp_path / "round_60" / "ledger.json").read_text())["history"]
         assert len(set().union(*history.values())) == 74
         for t in (20, 40, 60):

@@ -149,6 +149,10 @@ class TestParseConfig:
             config_from_dict({"tau_c": 1e-310})
         assert config_from_dict({"tau_c": 2e-308}).tau_c == 2e-308
 
+    _DATASET_SIZES_POSITIVE = "dataset.num_classes, dataset.input_dim and dataset.n must be positive"
+    # a valid model of its own, so that the dataset rule, not the model's, rejects a 0
+    _MODEL = {"input_dim": 32, "hidden_dims": [8], "num_classes": 4}
+
     @pytest.mark.parametrize("raw, message", [
         ({"tau_c": 0.0}, "tau_c must be positive"),
         ({"beta": -0.1}, r"beta must lie in \[0,1\]"),
@@ -158,9 +162,17 @@ class TestParseConfig:
         ({"k": -1.0}, "k must be non-negative"),
         ({"batch_size": 0}, "batch_size must be a positive integer"),
         ({"online_per_round": 0}, r"online_per_round must lie in \[1, clients\]"),
-    ], ids=["tau_c", "beta", "eta0", "lr_decay", "gamma", "k", "batch_size", "online_per_round"])
+        ({"test_fraction": 0.0}, "test_fraction must lie strictly between 0 and 1"),
+        ({"test_fraction": 1.0}, "test_fraction must lie strictly between 0 and 1"),
+        ({"dirichlet_alpha": 0}, "dirichlet_alpha must be positive"),
+        ({"dataset": {"n": 0}}, _DATASET_SIZES_POSITIVE),
+        ({"dataset": {"num_classes": 0}, "model": _MODEL}, _DATASET_SIZES_POSITIVE),
+        ({"dataset": {"input_dim": 0}, "model": _MODEL}, _DATASET_SIZES_POSITIVE),
+    ], ids=["tau_c", "beta", "eta0", "lr_decay", "gamma", "k", "batch_size", "online_per_round",
+            "test_fraction_0", "test_fraction_1", "dirichlet_alpha", "dataset_n",
+            "dataset_num_classes", "dataset_input_dim"])
     def test_value_the_round_pipeline_trusts_is_rejected(self, raw, message):
-        # nn, embedding and aggregation take these values without a check of their own
+        # nn, embedding, aggregation and data take these values without a check of their own
         with pytest.raises(ConfigError, match=message):
             config_from_dict(raw)
 
@@ -561,16 +573,16 @@ GOLDEN_RUN_SHA256 = {
 
 
 class TestGoldenBytes:
-    def test_run_outputs_are_pinned(self, tmp_path):
+    def test_run_outputs_are_pinned(self, tmp_path, byte_scope):
         config = write_config(tmp_path, GOLDEN_CONFIG)
         out = tmp_path / "out"
         assert main(["run", "--config", str(config), "--out", str(out)]) == 0
         assert [p.name for p in out.iterdir()] == [GOLDEN_RUN_DIR]
         for name, digest in GOLDEN_RUN_SHA256.items():
             data = (out / GOLDEN_RUN_DIR / name).read_bytes()
-            assert hashlib.sha256(data).hexdigest() == digest, name
+            assert hashlib.sha256(data).hexdigest() == digest, f"{name}: {byte_scope}"
 
-    def test_sweep_outputs_are_pinned(self, tmp_path):
+    def test_sweep_outputs_are_pinned(self, tmp_path, byte_scope):
         config = write_config(tmp_path, GOLDEN_CONFIG)
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(config), "--out", str(out), "--run-id", "golden",
@@ -578,7 +590,8 @@ class TestGoldenBytes:
         for algorithm, files in GOLDEN_SHA256.items():
             for name, digest in files.items():
                 data = (out / "golden" / algorithm / name).read_bytes()
-                assert hashlib.sha256(data).hexdigest() == digest, f"{algorithm}/{name}"
+                assert hashlib.sha256(data).hexdigest() == digest, \
+                    f"{algorithm}/{name}: {byte_scope}"
 
         def ledger(algorithm):
             path = out / "golden" / algorithm / "round_5" / "ledger.json"

@@ -209,12 +209,6 @@ class TestSplitTest:
                     assert key not in seen
                     seen.add(key)
 
-    def test_bad_fraction_rejected(self):
-        ds = gen_synthetic(2, 3, 10, seed=0)
-        plan = dirichlet_partition(ds, 1, 1.0, seed=0)
-        with pytest.raises(ValueError):
-            split_test(ds, plan, 1.0)
-
 
 # The set-up functions as they were before the sort-based rewrite. The
 # rewrite must reproduce their outputs byte for byte, from the same draws.

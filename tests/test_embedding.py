@@ -17,7 +17,7 @@ from corefed.embedding import (
     distill,
     global_embedding,
 )
-from corefed.errors import NumericalError, ProtocolError
+from corefed.errors import NumericalError
 from corefed.nn import ModelSpec, forward
 
 finite_vectors = st.lists(st.floats(-10, 10), min_size=2, max_size=6)
@@ -77,10 +77,6 @@ class TestGlobalEmbedding:
     def test_two_axis_vectors_average(self):
         np.testing.assert_allclose(global_embedding([np.array([1.0, 0.0]), np.array([0.0, 1.0])]),
                                    [0.5, 0.5], rtol=1e-15)
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ProtocolError):
-            global_embedding([])
 
 
 class TestCosine:

@@ -223,23 +223,19 @@ class TestFairnessSummary:
         assert d_cos == pytest.approx(expected_cos, abs=1e-12)
         assert d_man == pytest.approx(expected_man, abs=1e-12)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            fairness_summary({}, np.ones(2))
-
 
 class TestRoundReport:
     def test_mean_contrastive_skips_sentinels(self):
         report = RoundReport(round=1, mean_accuracy=0.5, per_client_accuracy={1: 0.5},
                              d_cosine_mean=0.0, d_manhattan_mean=0.0,
                              contrastive_losses={1: 0.25, 2: None, 3: 0.75},
-                             weights={1: 1.0}, learning_rate=0.1, online=frozenset({1}))
+                             learning_rate=0.1, online=frozenset({1}))
         assert report.mean_contrastive_loss == pytest.approx(0.5)
         assert report.num_online == 1
 
     def test_mean_contrastive_nan_when_absent(self):
         report = RoundReport(round=1, mean_accuracy=0.5, per_client_accuracy={1: 0.5},
                              d_cosine_mean=0.0, d_manhattan_mean=0.0,
-                             contrastive_losses={}, weights={1: 1.0},
-                             learning_rate=0.1, online=frozenset({1}))
+                             contrastive_losses={}, learning_rate=0.1,
+                             online=frozenset({1}))
         assert math.isnan(report.mean_contrastive_loss)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from corefed import simulation
 from corefed.aggregation import ParticipationLedger
 from corefed.config import ALGORITHMS, ExperimentConfig, SyntheticSource
 from corefed.data import Dataset, Shard, gen_synthetic
@@ -93,7 +94,6 @@ class TestRunRound:
         new_state, report = run_round(state, cfg, shards, evaluation_plan(cfg.model, shards))
         assert len(report.online) == 1
         (only,) = report.online
-        assert report.weights[only] == pytest.approx(1.0)
         # the new global must equal that client's trained local model
         from corefed.nn import local_train
         from corefed.rng import substream
@@ -101,12 +101,6 @@ class TestRunRound:
                                cfg.batch_size, lr_schedule(cfg.eta0, cfg.lr_decay, 1),
                                substream(cfg.seed, "shuffle", 1, only))
         np.testing.assert_allclose(new_state.params, expected, atol=1e-12)
-
-    def test_report_weights_cover_reused_members_only_for_fair_modes(self):
-        cfg = small_config(algorithm="corefed", rounds=3)
-        result = run_simulation(cfg)
-        for report in result.reports:
-            assert set(report.online) <= set(report.weights)
 
     def test_refed_and_corefed_share_alignment_diagnostics(self):
         shards = equal_shards(4, 8)
@@ -117,10 +111,10 @@ class TestRunRound:
         state_re = RunState(round=0, params=initial_params(for_re),
                             ledger=ParticipationLedger(), seed=for_re.seed)
         plan = evaluation_plan(for_core.model, shards)
-        _, report_core = run_round(state_core, for_core, shards, plan)
-        _, report_re = run_round(state_re, for_re, shards, plan)
+        new_core, report_core = run_round(state_core, for_core, shards, plan)
+        new_re, report_re = run_round(state_re, for_re, shards, plan)
         assert report_core.contrastive_losses == report_re.contrastive_losses
-        assert report_core.weights != report_re.weights
+        assert not np.array_equal(new_core.params, new_re.params)
 
     def test_fedavg_mode_logs_no_contrastive(self):
         cfg = small_config(algorithm="fedavg", rounds=1)
@@ -173,6 +167,24 @@ class TestEverySampledClientTrains:
         with pytest.raises(ConfigError, match=rf"^model\.num_classes 3 is too small for client 1 "
                                               rf"{part} labels \(4 classes\)$"):
             run_simulation(cfg, shards=shards)
+
+    @pytest.mark.parametrize("inputs, labels, message", [
+        (np.zeros((2, 6)), np.array([0, -1]), r"^client 2 train labels must lie in \[0, 3\)$"),
+        (np.zeros((2, 6)), np.array([0, 3]), r"^client 2 train labels must lie in \[0, 3\)$"),
+        (np.zeros((3, 6)), np.array([0, 1]), r"^client 2 train data needs one label per row"),
+        (np.zeros(6), np.array([0]), r"^client 2 train data needs one label per row"),
+    ], ids=["negative_label", "label_past_num_classes", "length_mismatch", "one_dimensional"])
+    def test_injected_shard_breaking_the_dataset_rule_is_rejected_before_training(
+            self, monkeypatch, inputs, labels, message):
+        # Dataset checks nothing itself: _check_fits is the one check on injected data
+        cfg = small_config(clients=3, online_per_round=3, rounds=1)
+        shards = equal_shards(3, 8)
+        shards[1] = dataclasses.replace(shards[1], train=Dataset(inputs, labels, 3))
+        trained = []
+        monkeypatch.setattr(simulation, "local_train", lambda *args: trained.append(args))
+        with pytest.raises(ConfigError, match=message):
+            run_simulation(cfg, shards=shards)
+        assert trained == []
 
     @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
     def test_report_online_is_the_sampled_draw(self, algorithm):
