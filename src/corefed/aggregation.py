@@ -8,8 +8,8 @@ through their cached pseudo-gradients.
 
 Arguments are trusted: eta, gamma and k come from a validated config, the
 parameter vectors and gradients of one run share the model's length, every
-round has at least one online client, and the maps a function receives are
-keyed by the same clients.
+round has at least one online client, ``online`` is an ascending list of
+client ids, and the maps a function receives are keyed by the same clients.
 """
 
 from __future__ import annotations
@@ -27,11 +27,12 @@ class ParticipationLedger:
     """Each client's participation rounds plus cached gradients/similarities.
 
     Rounds are recorded in ascending order, each after ``last_round``, and
-    client ids start at 1, as shards are numbered.
+    client ids start at 1, as shards are numbered. ``cache`` stores a
+    client's gradient and similarity together, so a cached client has both.
     Mutated only during the serial aggregation phase of each round. Cached
     gradients are stored read-only, so ``gradient_digests`` (the sha256 of a
     gradient's checkpoint record, filled by ``checkpoint.save_ledger``) stays
-    valid until ``cache_gradient`` replaces that gradient.
+    valid until ``cache`` replaces that gradient.
     """
 
     def __init__(self):
@@ -51,13 +52,11 @@ class ParticipationLedger:
         for cid in clients:
             self.client_rounds.setdefault(cid, []).append(t)
 
-    def cache_gradient(self, client: int, grad: np.ndarray) -> None:
-        cached = np.array(grad, dtype=np.float64, copy=True)
+    def cache(self, client: int, gradient: np.ndarray, similarity: float) -> None:
+        cached = np.array(gradient, dtype=np.float64, copy=True)
         cached.flags.writeable = False
         self.last_gradient[client] = cached
         self.gradient_digests.pop(client, None)
-
-    def cache_similarity(self, client: int, similarity: float) -> None:
         self.last_similarity[client] = float(similarity)
 
 
@@ -85,27 +84,18 @@ def participation_frequency(ledger: ParticipationLedger, client: int, t: int, ta
     return (bisect_left(rounds, t + 1) - bisect_left(rounds, max(1, t - tau + 1))) / tau
 
 
-def _sigmoid(x: float) -> float:
-    return 1.0 / (1.0 + np.exp(-x))
-
-
 def fairness_weights(members: list[int], frequencies: dict[int, float],
-                     similarities: dict[int, float], gamma: float, k: float,
-                     window_tau: int = 1) -> WeightAssignment:
+                     similarities: dict[int, float], gamma: float, k: float) -> dict[int, float]:
     """Normalized (1/f_i)^gamma * sigmoid(k * rho_i) over the membership.
 
-    Raises NumericalError naming the client when a score or the score total
-    leaves the float range, or a score or weight underflows to 0.
+    Raises NumericalError naming the client when a score is not positive (a
+    NaN rho, or the sigmoid underflowing), the score total overflows, or a
+    weight underflows to 0. The config's gamma limit keeps (1/f)^gamma finite.
     """
     scores = {}
     for cid in members:
-        f = frequencies[cid]
-        try:
-            reward = (1.0 / f) ** gamma
-        except OverflowError:
-            raise NumericalError(f"client {cid}: (1/f)^gamma overflows at f={f!r}, "
-                                 f"gamma={gamma!r}") from None
-        scores[cid] = reward * _sigmoid(k * similarities[cid])
+        sigmoid = 1.0 / (1.0 + np.exp(-(k * similarities[cid])))
+        scores[cid] = (1.0 / frequencies[cid]) ** gamma * sigmoid
         if not scores[cid] > 0:
             raise NumericalError(f"client {cid}: score {float(scores[cid])!r} is not positive "
                                  f"(k={k!r}, rho={similarities[cid]!r})")
@@ -124,12 +114,7 @@ def fairness_weights(members: list[int], frequencies: dict[int, float],
             raise NumericalError(f"client {cid}: weight underflows to {float(weight)!r} "
                                  f"(its score is {float(scores[cid])!r} of a total "
                                  f"{float(total)!r})")
-    return WeightAssignment(
-        weights=weights,
-        window_tau=window_tau,
-        frequencies={cid: frequencies[cid] for cid in members},
-        similarities={cid: similarities[cid] for cid in members},
-    )
+    return weights
 
 
 def pseudo_gradient(global_params: np.ndarray, local_params: np.ndarray, eta: float) -> np.ndarray:
@@ -151,24 +136,25 @@ def reuse_gradient(ledger: ParticipationLedger, client: int, t: int,
     return ledger.last_gradient[client]
 
 
-def aggregate(global_params: np.ndarray, assignment: WeightAssignment,
+def _weighted_sum(weights: dict[int, float], vectors: dict[int, np.ndarray]) -> np.ndarray:
+    """sum_i w_i * v_i, added in the order of ``weights``: the output bits depend on it."""
+    total = np.zeros_like(next(iter(vectors.values())))
+    term = np.empty_like(total)
+    for cid, weight in weights.items():
+        total += np.multiply(weight, vectors[cid], out=term)
+    return total
+
+
+def aggregate(global_params: np.ndarray, weights: dict[int, float],
               gradients: dict[int, np.ndarray], eta: float) -> np.ndarray:
     """Global update w_{t+1} = w_t - eta * sum_i w_i * g_i."""
-    step = np.zeros_like(global_params)
-    term = np.empty_like(global_params)
-    for cid, weight in assignment.weights.items():
-        step += np.multiply(weight, gradients[cid], out=term)
-    return global_params - eta * step
+    return global_params - eta * _weighted_sum(weights, gradients)
 
 
 def fedavg_aggregate(local_models: dict[int, np.ndarray], sizes: dict[int, int]) -> np.ndarray:
     """Data-size-weighted model average sum_i (n_i / n) * w_i."""
     total = sum(sizes.values())
-    result = np.zeros_like(next(iter(local_models.values())))
-    term = np.empty_like(result)
-    for cid, params in local_models.items():
-        result += np.multiply(sizes[cid] / total, params, out=term)
-    return result
+    return _weighted_sum({cid: sizes[cid] / total for cid in local_models}, local_models)
 
 
 def assemble_round(ledger: ParticipationLedger, online, fresh_gradients: dict[int, np.ndarray],
@@ -186,13 +172,11 @@ def assemble_round(ledger: ParticipationLedger, online, fresh_gradients: dict[in
     its frequency is floored at 1/tau so membership never divides by zero.
     The floor never moves an online member, whose count is at least 1.
     """
-    online = sorted(int(c) for c in online)
     tau = window_length(ledger, len(online))
     ledger.record_round(t, online)
 
     for cid in online:
-        ledger.cache_gradient(cid, fresh_gradients[cid])
-        ledger.cache_similarity(cid, fresh_similarities[cid])
+        ledger.cache(cid, fresh_gradients[cid], fresh_similarities[cid])
     # Online members, then reused ones, each ascending: the output bits depend on this order.
     gradients = {cid: ledger.last_gradient[cid] for cid in online}
     for cid in sorted(ledger.client_rounds.keys() - gradients.keys()):
@@ -202,10 +186,5 @@ def assemble_round(ledger: ParticipationLedger, online, fresh_gradients: dict[in
     frequencies = {cid: max(participation_frequency(ledger, cid, t, tau), 1.0 / tau)
                    for cid in gradients}
     similarities = {cid: ledger.last_similarity[cid] for cid in gradients}
-
-    try:
-        assignment = fairness_weights(list(gradients), frequencies, similarities, gamma, k,
-                                      window_tau=tau)
-    except NumericalError as exc:
-        raise NumericalError(f"round {t}: {exc}") from None
-    return assignment, gradients
+    weights = fairness_weights(list(gradients), frequencies, similarities, gamma, k)
+    return WeightAssignment(weights, tau, frequencies, similarities), gradients

@@ -144,8 +144,7 @@ def load_ledger(json_path, gradients_path) -> ParticipationLedger:
             if struct.unpack_from("<Q", packed)[0] != length:
                 raise FormatError(f"{gradients_path}: length prefix disagrees with manifest")
             if cid in ledger.client_rounds and cid in similarities:
-                ledger.cache_gradient(cid, np.frombuffer(packed, dtype="<f8", offset=8))
-                ledger.cache_similarity(cid, similarities[cid])
+                ledger.cache(cid, np.frombuffer(packed, dtype="<f8", offset=8), similarities[cid])
                 ledger.gradient_digests[cid] = digest
         if fh.read(1):
             raise FormatError(f"{gradients_path}: trailing bytes after gradient cache")

@@ -42,6 +42,15 @@ class SyntheticSource:
     input_dim: int = 32
     n: int = 2000
 
+    def __post_init__(self):
+        # Checked here, before a default model is derived from these sizes.
+        for name in ("num_classes", "input_dim", "n"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"dataset.{name} must be an integer")
+        _require(self.num_classes >= 1 and self.input_dim >= 1 and self.n >= 1,
+                 "dataset.num_classes, dataset.input_dim and dataset.n must be positive")
+
 
 @dataclass(frozen=True)
 class IdxSource:
@@ -151,12 +160,6 @@ def _validate(cfg: ExperimentConfig) -> None:
     _require(0.0 < cfg.test_fraction < 1.0, "test_fraction must lie strictly between 0 and 1")
     if isinstance(cfg.dataset, SyntheticSource):
         src = cfg.dataset
-        for name in ("num_classes", "input_dim", "n"):
-            value = getattr(src, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"dataset.{name} must be an integer")
-        _require(src.num_classes >= 1 and src.input_dim >= 1 and src.n >= 1,
-                 "dataset.num_classes, dataset.input_dim and dataset.n must be positive")
         _require(cfg.clients <= src.n, f"clients ({cfg.clients}) must be at most dataset.n "
                                        f"({src.n}): every client needs a sample")
         _require(cfg.model.input_dim == src.input_dim,

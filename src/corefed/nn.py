@@ -72,9 +72,6 @@ class ModelSpec:
 
 def unflatten(params: np.ndarray, spec: ModelSpec) -> list[tuple[np.ndarray, np.ndarray]]:
     """Split the flat vector into per-layer (W, b) views (no copies)."""
-    if params.shape != (spec.num_params(),):
-        raise ValueError(f"parameter vector has length {params.shape}, "
-                         f"spec needs {spec.num_params()}")
     return [(params[start:bias].reshape(fan_in, fan_out), params[bias:end])
             for fan_in, fan_out, start, bias, end in spec._layout]
 

@@ -126,31 +126,31 @@ def run_round(state: RunState, config: ExperimentConfig, shards: list[Shard],
 
     similarities: dict[int, float] = {}
     contrastives: dict[int, float | None] = {}
-    if align or fair:
-        try:
+    try:
+        if align or fair:
             embeddings = {cid: client_embedding(local_models[cid], config.model, by_id[cid])
                           for cid in active}
-        except NumericalError as exc:
-            raise NumericalError(f"round {t}: {exc}") from None
-        z_global = global_embedding([embeddings[cid] for cid in active])
-        if align:
-            similarities, contrastives = build_alignment_records(embeddings, z_global,
-                                                                 config.beta, config.tau_c)
-        else:
-            similarities = {cid: cosine(embeddings[cid], z_global) for cid in active}
+            z_global = global_embedding([embeddings[cid] for cid in active])
+            if align:
+                similarities, contrastives = build_alignment_records(embeddings, z_global,
+                                                                     config.beta, config.tau_c)
+            else:
+                similarities = {cid: cosine(embeddings[cid], z_global) for cid in active}
 
-    if fair:
-        gradients = {cid: pseudo_gradient(state.params, local_models[cid], eta)
-                     for cid in active}
-        assignment, merged = assemble_round(state.ledger, active, gradients, similarities,
-                                            t, config.gamma, config.k)
-        new_params = aggregate(state.params, assignment, merged, eta)
-    else:
-        # The ledger still records the round so participation accounting
-        # stays comparable across algorithms; nothing reads a cache here.
-        state.ledger.record_round(t, active)
-        sizes = {cid: len(by_id[cid].train) for cid in active}
-        new_params = fedavg_aggregate(local_models, sizes)
+        if fair:
+            gradients = {cid: pseudo_gradient(state.params, local_models[cid], eta)
+                         for cid in active}
+            assignment, merged = assemble_round(state.ledger, active, gradients, similarities,
+                                                t, config.gamma, config.k)
+            new_params = aggregate(state.params, assignment.weights, merged, eta)
+        else:
+            # The ledger still records the round so participation accounting
+            # stays comparable across algorithms; nothing reads a cache here.
+            state.ledger.record_round(t, active)
+            sizes = {cid: len(by_id[cid].train) for cid in active}
+            new_params = fedavg_aggregate(local_models, sizes)
+    except NumericalError as exc:
+        raise NumericalError(f"round {t}: {exc}") from None
 
     mean_accuracy, per_client = evaluate_accuracy(new_params, config.model, plan)
     d_cos_mean, d_man_mean = fairness_summary(local_models, new_params)

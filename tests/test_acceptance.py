@@ -104,18 +104,18 @@ def test_criterion_3_weight_simplex_and_monotonicity():
         gamma = float(rng.uniform(0.0, 4.0))
         k = float(rng.uniform(0.0, 4.0))
         wa = fairness_weights(members, freqs, sims, gamma, k)
-        ok &= abs(sum(wa.weights.values()) - 1.0) < 1e-9
-        ok &= all(w > 0 for w in wa.weights.values())
+        ok &= abs(sum(wa.values()) - 1.0) < 1e-9
+        ok &= all(w > 0 for w in wa.values())
 
         target = members[0]
         up_sims = {**sims, target: min(1.0, sims[target] + 0.05)}
         wa_rho = fairness_weights(members, freqs, up_sims, gamma, k)
         if k > 0 and up_sims[target] > sims[target]:
-            ok &= wa_rho.weights[target] > wa.weights[target]
+            ok &= wa_rho[target] > wa[target]
         up_freqs = {**freqs, target: min(1.0, freqs[target] * 1.1)}
         wa_f = fairness_weights(members, up_freqs, sims, gamma, k)
         if gamma > 0 and up_freqs[target] > freqs[target]:
-            ok &= wa_f.weights[target] < wa.weights[target]
+            ok &= wa_f[target] < wa[target]
     elapsed = time.perf_counter() - start
     report(3, "weight simplex + monotonicity", ok and elapsed < 5.0,
            f"1000 draws, {elapsed:.1f}s")
@@ -135,12 +135,12 @@ def test_criterion_4_golden_values():
     ok_distill = np.allclose(refined, [0.5, 0.0], atol=1e-5)
 
     wa = fairness_weights([1, 2], {1: 1.0, 2: 1.0}, {1: 1.0, 2: -1.0}, gamma=2.0, k=2.0)
-    ok_weights = (abs(wa.weights[1] - 0.88080) < 1e-5 and abs(wa.weights[2] - 0.11920) < 1e-5)
+    ok_weights = (abs(wa[1] - 0.88080) < 1e-5 and abs(wa[2] - 0.11920) < 1e-5)
 
     report(4, "contrastive/distillation golden values",
            ok_contrast and ok_distill and ok_weights,
            f"contrast {contrast:.6f}, distilled {refined.tolist()}, "
-           f"weights ({wa.weights[1]:.5f}, {wa.weights[2]:.5f})")
+           f"weights ({wa[1]:.5f}, {wa[2]:.5f})")
 
 
 def test_criterion_5_sliding_window_semantics():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from corefed.aggregation import (
     ParticipationLedger,
-    WeightAssignment,
     aggregate,
     assemble_round,
     fairness_weights,
@@ -47,7 +46,7 @@ class TestLedger:
     def test_last_participation_is_greatest_round(self, tmp_path):
         ledger = ledger_with_history([{1, 2}, {2}, {2, 3}])
         for cid in (1, 2, 3):
-            ledger.cache_gradient(cid, np.array([1.0]))
+            ledger.cache(cid, np.array([1.0]), 0.0)
         assert reuse_gradient(ledger, 1, t=3, tau=2) is not None
         assert reuse_gradient(ledger, 1, t=4, tau=2) is None
         save_ledger(ledger, tmp_path / "ledger.json", tmp_path / "gradients.bin")
@@ -76,10 +75,10 @@ class TestLedger:
 
     def test_cached_gradient_is_a_read_only_copy(self):
         # A checkpoint keeps each cached gradient's digest until the client's
-        # next cache_gradient, so nothing may rewrite the cached bytes in place.
+        # next cache, so nothing may rewrite the cached bytes in place.
         ledger = ParticipationLedger()
         source = np.array([1.0, 2.0])
-        ledger.cache_gradient(1, source)
+        ledger.cache(1, source, 0.5)
         source[0] = 5.0
         assert ledger.last_gradient[1].tolist() == [1.0, 2.0]
         with pytest.raises(ValueError, match="read-only"):
@@ -173,20 +172,20 @@ class TestFairnessWeights:
     def test_symmetry_gives_uniform_weights(self):
         wa = fairness_weights([1, 2, 3], {1: 0.5, 2: 0.5, 3: 0.5}, {1: 0.9, 2: 0.9, 3: 0.9},
                               gamma=1.0, k=2.0)
-        for w in wa.weights.values():
+        for w in wa.values():
             assert w == pytest.approx(1 / 3, abs=1e-12)
 
     def test_inverse_frequency_with_neutral_sigmoid(self):
         wa = fairness_weights([1, 2], {1: 1.0, 2: 0.5}, {1: 1.0, 2: 1.0}, gamma=1.0, k=0.0)
-        assert wa.weights[1] == pytest.approx(1 / 3, abs=1e-12)
-        assert wa.weights[2] == pytest.approx(2 / 3, abs=1e-12)
+        assert wa[1] == pytest.approx(1 / 3, abs=1e-12)
+        assert wa[2] == pytest.approx(2 / 3, abs=1e-12)
 
     def test_sigmoid_contrast_hand_values(self):
         wa = fairness_weights([1, 2], {1: 1.0, 2: 1.0}, {1: 1.0, 2: -1.0}, gamma=2.0, k=2.0)
         denominator = sigmoid(2.0) + sigmoid(-2.0)
-        assert wa.weights[1] == pytest.approx(sigmoid(2.0) / denominator, abs=1e-12)
-        assert wa.weights[1] == pytest.approx(0.88080, abs=1e-5)
-        assert wa.weights[2] == pytest.approx(0.11920, abs=1e-5)
+        assert wa[1] == pytest.approx(sigmoid(2.0) / denominator, abs=1e-12)
+        assert wa[1] == pytest.approx(0.88080, abs=1e-5)
+        assert wa[2] == pytest.approx(0.11920, abs=1e-5)
 
     def test_common_frequency_scaling_cancels(self):
         freqs = {1: 0.9, 2: 0.6, 3: 0.3}
@@ -195,7 +194,7 @@ class TestFairnessWeights:
         scaled = fairness_weights([1, 2, 3], {i: 0.5 * f for i, f in freqs.items()}, sims,
                                   gamma=1.3, k=1.7)
         for cid in (1, 2, 3):
-            assert scaled.weights[cid] == pytest.approx(base.weights[cid], rel=1e-12)
+            assert scaled[cid] == pytest.approx(base[cid], rel=1e-12)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
     def test_alignment_reward_underflow_names_client(self):
@@ -243,29 +242,23 @@ class TestReuseGradient:
 
     def test_boundary_age_still_reuses(self):
         ledger = ledger_with_history([{1}])
-        ledger.cache_gradient(1, np.array([2.0]))
+        ledger.cache(1, np.array([2.0]), 0.5)
         out = reuse_gradient(ledger, 1, t=4, tau=3)
         np.testing.assert_array_equal(out, [2.0])
 
     def test_one_past_boundary_contributes_nothing(self):
         ledger = ledger_with_history([{1}])
-        ledger.cache_gradient(1, np.array([2.0]))
+        ledger.cache(1, np.array([2.0]), 0.5)
         assert reuse_gradient(ledger, 1, t=5, tau=3) is None
 
     def test_never_seen_client_contributes_nothing(self):
         assert reuse_gradient(ParticipationLedger(), 7, t=3, tau=3) is None
 
 
-def make_assignment(weights):
-    return WeightAssignment(weights=weights, window_tau=1,
-                            frequencies={c: 1.0 for c in weights},
-                            similarities={c: 0.0 for c in weights})
-
-
 class TestAggregate:
     def test_zero_gradients_keep_global(self):
         global_params = np.array([1.0, -1.0])
-        out = aggregate(global_params, make_assignment({1: 0.5, 2: 0.5}),
+        out = aggregate(global_params, {1: 0.5, 2: 0.5},
                         {1: np.zeros(2), 2: np.zeros(2)}, eta=0.1)
         np.testing.assert_array_equal(out, global_params)
 
@@ -273,14 +266,14 @@ class TestAggregate:
         global_params = np.array([0.0])
         gradients = {1: pseudo_gradient(global_params, np.array([2.0]), 1.0),
                      2: pseudo_gradient(global_params, np.array([4.0]), 1.0)}
-        out = aggregate(global_params, make_assignment({1: 0.5, 2: 0.5}), gradients, eta=1.0)
+        out = aggregate(global_params, {1: 0.5, 2: 0.5}, gradients, eta=1.0)
         np.testing.assert_allclose(out, [3.0], rtol=1e-12)
 
     def test_single_full_weight_client_replaces_global(self):
         global_params = np.array([1.0, 2.0])
         local = np.array([0.3, -0.7])
         gradients = {1: pseudo_gradient(global_params, local, 0.2)}
-        out = aggregate(global_params, make_assignment({1: 1.0}), gradients, eta=0.2)
+        out = aggregate(global_params, {1: 1.0}, gradients, eta=0.2)
         np.testing.assert_allclose(out, local, rtol=1e-12)
 
 
@@ -351,30 +344,21 @@ class TestAssembleRound:
         assert assignment.frequencies[2] == pytest.approx(0.5)
         np.testing.assert_array_equal(merged[2], [2.0])
 
-    def test_reward_overflow_names_round_and_client(self):
-        ledger = ParticipationLedger()
-        assemble_round(ledger, [1, 2, 3, 4], {c: np.array([1.0]) for c in (1, 2, 3, 4)},
-                       {c: 0.5 for c in (1, 2, 3, 4)}, t=1, gamma=0.5, k=2.0)
-        # t=2: tau = 4; client 1 has f = 1/2 (2^520 is finite), the reused
-        # clients 2-4 have f = 1/4 and 4^520 = 2^1040 overflows
-        with pytest.raises(NumericalError, match=r"round 2: client 2\b"):
-            assemble_round(ledger, [1], {1: np.array([1.0])}, {1: 0.5},
-                           t=2, gamma=520.0, k=2.0)
-
     @pytest.mark.filterwarnings("ignore:overflow encountered in scalar add:RuntimeWarning")
     def test_weight_total_overflow_names_round(self):
         ledger = ParticipationLedger()
         assemble_round(ledger, [1, 2, 3], {c: np.array([1.0]) for c in (1, 2, 3)},
                        {c: 0.5 for c in (1, 2, 3)}, t=1, gamma=0.5, k=2.0)
         # t=2: tau = 3; clients 2 and 3 each score about 3^645.5 (1.4e308,
-        # finite), and their sum overflows
-        with pytest.raises(NumericalError, match=r"round 2: client [23]\b"):
+        # finite), and their sum overflows. run_round prefixes the round.
+        with pytest.raises(NumericalError, match=r"^client [23]\b"):
             assemble_round(ledger, [1], {1: np.array([1.0])}, {1: 0.5},
                            t=2, gamma=645.5, k=100.0)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
     def test_alignment_reward_underflow_names_round_and_client(self):
-        with pytest.raises(NumericalError, match=r"round 1: client 1\b"):
+        # the client here; run_round prefixes the round
+        with pytest.raises(NumericalError, match=r"^client 1\b"):
             assemble_round(ParticipationLedger(), [1, 2], {c: np.array([1.0]) for c in (1, 2)},
                            {1: -1.0, 2: 1.0}, t=1, gamma=0.0, k=1000.0)
 
@@ -390,22 +374,22 @@ class TestWeightProperties:
             gamma = float(rng.uniform(0.0, 4.0))
             k = float(rng.uniform(0.0, 4.0))
             wa = fairness_weights(members, freqs, sims, gamma, k)
-            total = sum(wa.weights.values())
+            total = sum(wa.values())
             assert abs(total - 1.0) < 1e-9
-            assert all(w > 0 for w in wa.weights.values())
+            assert all(w > 0 for w in wa.values())
 
             target = members[0]
             bumped_sims = dict(sims)
             bumped_sims[target] = min(1.0, sims[target] + 0.1)
             wa_rho = fairness_weights(members, freqs, bumped_sims, gamma, k)
             if k > 1e-9 and bumped_sims[target] > sims[target]:
-                assert wa_rho.weights[target] > wa.weights[target]
+                assert wa_rho[target] > wa[target]
 
             bumped_freqs = dict(freqs)
             bumped_freqs[target] = min(1.0, freqs[target] + 0.1)
             wa_f = fairness_weights(members, bumped_freqs, sims, gamma, k)
             if gamma > 1e-9 and bumped_freqs[target] > freqs[target]:
-                assert wa_f.weights[target] < wa.weights[target]
+                assert wa_f[target] < wa[target]
 
 
 class TestNeutralReduction:

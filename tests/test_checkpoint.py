@@ -22,12 +22,9 @@ def sample_ledger():
     ledger = ParticipationLedger()
     ledger.record_round(1, {1, 2, 3})
     ledger.record_round(2, {2})
-    ledger.cache_gradient(1, np.array([0.5, -1.5, 2.25]))
-    ledger.cache_gradient(2, np.array([1.0]))
-    ledger.cache_gradient(3, np.array([-0.125, 0.0]))
-    ledger.cache_similarity(1, 0.25)
-    ledger.cache_similarity(2, -0.75)
-    ledger.cache_similarity(3, 0.0)
+    ledger.cache(1, np.array([0.5, -1.5, 2.25]), 0.25)
+    ledger.cache(2, np.array([1.0]), -0.75)
+    ledger.cache(3, np.array([-0.125, 0.0]), 0.0)
     return ledger
 
 
@@ -195,10 +192,8 @@ def memo_free_copy(ledger):
             history.setdefault(t, set()).add(cid)
     for t in sorted(history):
         copy.record_round(t, history[t])
-    for cid, similarity in ledger.last_similarity.items():
-        copy.cache_similarity(cid, similarity)
     for cid, grad in ledger.last_gradient.items():
-        copy.cache_gradient(cid, grad)
+        copy.cache(cid, grad, ledger.last_similarity[cid])
     return copy
 
 
@@ -217,12 +212,11 @@ def apply_op(ledger, op, args):
     if op == "record":
         ledger.record_round(ledger.last_round + 1, args[0])
     elif op == "cache" and args[0] in ledger.client_rounds:
-        ledger.cache_gradient(args[0], np.array(args[1], dtype=np.float64))
-        ledger.cache_similarity(args[0], args[2])
+        ledger.cache(args[0], np.array(args[1], dtype=np.float64), args[2])
 
 
 class TestDigestMemo:
-    """save_ledger hashes a gradient once per cache_gradient; the kept digest must never go stale."""
+    """save_ledger hashes a gradient once per cache; the kept digest must never go stale."""
 
     @given(ledger_ops)
     @settings(max_examples=80, deadline=None)

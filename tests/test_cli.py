@@ -168,9 +168,14 @@ class TestParseConfig:
         ({"dataset": {"n": 0}}, _DATASET_SIZES_POSITIVE),
         ({"dataset": {"num_classes": 0}, "model": _MODEL}, _DATASET_SIZES_POSITIVE),
         ({"dataset": {"input_dim": 0}, "model": _MODEL}, _DATASET_SIZES_POSITIVE),
+        # no model: the dataset is checked before the default model is derived from it
+        ({"dataset": {"num_classes": 0}}, _DATASET_SIZES_POSITIVE),
+        ({"dataset": {"input_dim": 0}}, _DATASET_SIZES_POSITIVE),
+        ({"dataset": {"input_dim": "x"}}, "dataset.input_dim must be an integer"),
     ], ids=["tau_c", "beta", "eta0", "lr_decay", "gamma", "k", "batch_size", "online_per_round",
             "test_fraction_0", "test_fraction_1", "dirichlet_alpha", "dataset_n",
-            "dataset_num_classes", "dataset_input_dim"])
+            "dataset_num_classes", "dataset_input_dim", "dataset_num_classes_default_model",
+            "dataset_input_dim_default_model", "dataset_input_dim_type_default_model"])
     def test_value_the_round_pipeline_trusts_is_rejected(self, raw, message):
         # nn, embedding, aggregation and data take these values without a check of their own
         with pytest.raises(ConfigError, match=message):

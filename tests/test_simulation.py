@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corefed import simulation
+from corefed import aggregation, simulation
 from corefed.aggregation import ParticipationLedger
 from corefed.config import ALGORITHMS, ExperimentConfig, SyntheticSource
 from corefed.data import Dataset, Shard, gen_synthetic
@@ -115,6 +115,20 @@ class TestRunRound:
         new_re, report_re = run_round(state_re, for_re, shards, plan)
         assert report_core.contrastive_losses == report_re.contrastive_losses
         assert not np.array_equal(new_core.params, new_re.params)
+
+    @pytest.mark.parametrize("algorithm", ["corefed", "cofed"])
+    def test_weights_error_is_prefixed_with_the_round(self, monkeypatch, algorithm):
+        # the weights name the client; run_round alone adds the round
+        def fail(*args):
+            raise NumericalError("client 2: weight underflows to 0.0")
+
+        monkeypatch.setattr(aggregation, "fairness_weights", fail)
+        cfg = small_config(algorithm=algorithm, rounds=1)
+        shards = equal_shards(5, 8)
+        state = RunState(round=0, params=initial_params(cfg), ledger=ParticipationLedger(),
+                         seed=cfg.seed)
+        with pytest.raises(NumericalError, match=r"^round 1: client 2: weight underflows"):
+            run_round(state, cfg, shards, evaluation_plan(cfg.model, shards))
 
     def test_fedavg_mode_logs_no_contrastive(self):
         cfg = small_config(algorithm="fedavg", rounds=1)
