@@ -87,10 +87,11 @@ def distill(z_i: np.ndarray, z_align: np.ndarray, beta: float) -> np.ndarray:
     return z_i + beta * (z_align - z_i)
 
 
-def build_alignment_records(embeddings: dict[int, np.ndarray], z_global: np.ndarray,
-                            beta: float, tau_c: float
+def build_alignment_records(embeddings: dict[int, np.ndarray], to_global: dict[int, float],
+                            z_global: np.ndarray, beta: float, tau_c: float
                             ) -> tuple[dict[int, float], dict[int, float | None]]:
-    """Run the full per-client alignment pass for one round.
+    """Refine each participant's raw similarity ``to_global[cid]``, its
+    ``cosine(z_i, z_global)``, for one round.
 
     For each participant: alignment vector, distilled embedding and the
     refined-vs-global similarity used by the aggregation weights, plus the
@@ -99,7 +100,6 @@ def build_alignment_records(embeddings: dict[int, np.ndarray], z_global: np.ndar
     order of ``embeddings``. Returns (similarities, contrastive losses),
     both keyed by client id in ascending order.
     """
-    to_global = {cid: cosine(z, z_global) for cid, z in embeddings.items()}
     between = {}
     for a, b in combinations(embeddings, 2):
         between[a, b] = between[b, a] = cosine(embeddings[a], embeddings[b])

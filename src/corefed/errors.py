@@ -18,7 +18,7 @@ class PartitionError(RuntimeError):
 
 
 class MeasurementError(RuntimeError):
-    """A metric is undefined for the given inputs (e.g. zero-norm model)."""
+    """A metric is undefined: ``evaluation_plan`` found no test slice to score."""
 
 
 class InvariantError(RuntimeError):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,24 +34,6 @@ class RoundReport:
     def mean_contrastive_loss(self) -> float:
         values = [v for v in self.contrastive_losses.values() if v is not None]
         return float(np.mean(values)) if values else math.nan
-
-
-def d_cosine(client_params: np.ndarray, global_params: np.ndarray) -> float:
-    """Angular distance arccos(cos(client, global)) in [0, pi] radians."""
-    return _angle(client_params, global_params, np.linalg.norm(global_params))
-
-
-def _angle(params: np.ndarray, global_params: np.ndarray, global_norm: float) -> float:
-    """``d_cosine`` with the global model's norm already taken."""
-    norm = np.linalg.norm(params)
-    if norm < _NORM_EPS or global_norm < _NORM_EPS:
-        raise MeasurementError("angular distance undefined for zero-norm parameters")
-    return float(np.arccos(np.clip(np.dot(params, global_params) / (norm * global_norm), -1.0, 1.0)))
-
-
-def d_manhattan(client_params: np.ndarray, global_params: np.ndarray) -> float:
-    """L1 distance over the flattened full parameter set."""
-    return float(np.abs(client_params - global_params).sum())
 
 
 @dataclass(frozen=True)
@@ -104,15 +85,20 @@ def fairness_summary(local_models: dict[int, np.ndarray],
                      global_params: np.ndarray) -> tuple[float, float]:
     """Unweighted mean angular and Manhattan distances, locals vs global.
 
-    Clients whose angular distance is unmeasurable (zero-norm model) are
-    skipped from the cosine mean only.
+    The angular distance is arccos(cos(local, global)) in [0, pi] radians,
+    the Manhattan distance the L1 norm of local - global. A client with a
+    zero-norm model (or any client, when the global model has zero norm)
+    has no angle and is skipped from the angular mean only; that mean is NaN
+    when every client is skipped.
     """
     global_norm = np.linalg.norm(global_params)
     cosines = []
     manhattans = []
     for params in local_models.values():
-        with suppress(MeasurementError):
-            cosines.append(_angle(params, global_params, global_norm))
-        manhattans.append(d_manhattan(params, global_params))
+        norm = np.linalg.norm(params)
+        if not (norm < _NORM_EPS or global_norm < _NORM_EPS):
+            cosine = np.dot(params, global_params) / (norm * global_norm)
+            cosines.append(float(np.arccos(np.clip(cosine, -1.0, 1.0))))
+        manhattans.append(float(np.abs(params - global_params).sum()))
     cos_mean = float(np.mean(cosines)) if cosines else math.nan
     return cos_mean, float(np.mean(manhattans))

@@ -123,20 +123,10 @@ def forward(params: np.ndarray, spec: ModelSpec, data: Dataset) -> tuple[np.ndar
     return embeddings, logits
 
 
-def loss(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean softmax cross-entropy over the batch."""
-    if len(logits) != len(labels):
-        raise ValueError("logits and labels disagree on batch size")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
-    picked = shifted[np.arange(len(labels)), labels]
-    return float(np.mean(log_norm - picked))
-
-
 def backward(params: np.ndarray, spec: ModelSpec, batch: Dataset,
              out: np.ndarray | None = None) -> np.ndarray:
-    """Gradient of ``loss(forward(...))`` w.r.t. the flat parameter vector;
-    ``batch`` must be non-empty.
+    """Gradient of the batch's mean softmax cross-entropy of ``forward``'s
+    logits w.r.t. the flat parameter vector; ``batch`` must be non-empty.
 
     The gradient is written into ``out`` (a new vector when None) through its
     per-layer views, and ``out`` is returned.

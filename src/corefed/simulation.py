@@ -124,18 +124,16 @@ def run_round(state: RunState, config: ExperimentConfig, shards: list[Shard],
                                      config.batch_size, eta, substream(state.seed, "shuffle", t, cid))
                     for cid in active}
 
-    similarities: dict[int, float] = {}
     contrastives: dict[int, float | None] = {}
     try:
         if align or fair:
             embeddings = {cid: client_embedding(local_models[cid], config.model, by_id[cid])
                           for cid in active}
             z_global = global_embedding([embeddings[cid] for cid in active])
+            similarities = {cid: cosine(embeddings[cid], z_global) for cid in active}
             if align:
-                similarities, contrastives = build_alignment_records(embeddings, z_global,
-                                                                     config.beta, config.tau_c)
-            else:
-                similarities = {cid: cosine(embeddings[cid], z_global) for cid in active}
+                similarities, contrastives = build_alignment_records(
+                    embeddings, similarities, z_global, config.beta, config.tau_c)
 
         if fair:
             gradients = {cid: pseudo_gradient(state.params, local_models[cid], eta)

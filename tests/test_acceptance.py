@@ -22,8 +22,9 @@ from corefed.cli import main
 from corefed.config import ExperimentConfig, IdxSource, SyntheticSource
 from corefed.data import Dataset
 from corefed.embedding import alignment_vector, contrastive_loss, cosine, distill
-from corefed.nn import ModelSpec, backward, forward, loss
+from corefed.nn import ModelSpec, backward, forward
 from corefed.simulation import run_simulation
+from tests.test_nn import loss
 from tests.test_simulation import equal_shards
 
 # Desk-scale ablation benchmark: 10 clients, 4 classes, 32 dims,

@@ -195,12 +195,17 @@ class TestDistill:
         assert np.all(mixed >= low) and np.all(mixed <= high)
 
 
+def raw_similarities(embeddings, z_global):
+    return {cid: cosine(z, z_global) for cid, z in embeddings.items()}
+
+
 class TestAlignmentRecords:
     def test_similarity_recomputable_from_distilled_embedding(self):
         rng = np.random.default_rng(4)
         embeddings = {i: rng.normal(size=5) for i in (1, 2, 3)}
         z_global = global_embedding(list(embeddings.values()))
-        similarities, losses = build_alignment_records(embeddings, z_global, beta=0.5, tau_c=0.07)
+        similarities, losses = build_alignment_records(
+            embeddings, raw_similarities(embeddings, z_global), z_global, beta=0.5, tau_c=0.07)
         assert list(similarities) == list(losses) == [1, 2, 3]
         for cid, raw in embeddings.items():
             refined = distill(raw, alignment_vector(cosine(raw, z_global), z_global), 0.5)
@@ -208,12 +213,13 @@ class TestAlignmentRecords:
             assert losses[cid] == client_contrastive_loss(cid, embeddings, z_global, 0.07)
 
     def test_each_cosine_is_computed_once(self, monkeypatch):
-        # per client: one cosine with the global and one of its refined
+        # the raw similarities come in; per client: one cosine of its refined
         # embedding; per unordered pair of clients: one
-        calls = []
-        monkeypatch.setattr(embedding, "cosine", lambda a, b: calls.append(1) or cosine(a, b))
         rng = np.random.default_rng(6)
         embeddings = {i: rng.normal(size=5) for i in (4, 1, 3, 2)}
-        build_alignment_records(embeddings, global_embedding(list(embeddings.values())),
-                                beta=0.5, tau_c=0.07)
-        assert len(calls) == 4 + 4 + 6
+        z_global = global_embedding(list(embeddings.values()))
+        to_global = raw_similarities(embeddings, z_global)
+        calls = []
+        monkeypatch.setattr(embedding, "cosine", lambda a, b: calls.append(1) or cosine(a, b))
+        build_alignment_records(embeddings, to_global, z_global, beta=0.5, tau_c=0.07)
+        assert len(calls) == 4 + 6

@@ -11,8 +11,6 @@ from corefed import simulation
 from corefed.config import ExperimentConfig, SyntheticSource
 from corefed.metrics import (
     RoundReport,
-    d_cosine,
-    d_manhattan,
     evaluate_accuracy,
     evaluation_plan,
     fairness_summary,
@@ -22,23 +20,29 @@ from corefed.nn import ModelSpec, forward
 vectors = st.lists(st.floats(-5, 5), min_size=2, max_size=8)
 
 
+def angle(local, global_params):
+    """One client's angular distance, as ``fairness_summary`` measures it."""
+    return fairness_summary({1: local}, global_params)[0]
+
+
+def l1(local, global_params):
+    """One client's Manhattan distance, as ``fairness_summary`` measures it."""
+    return fairness_summary({1: local}, global_params)[1]
+
+
 class TestDCosine:
     def test_identical_models_have_zero_distance(self):
         v = np.array([0.4, -1.2, 3.0])
-        assert d_cosine(v, v) == pytest.approx(0.0, abs=1e-7)
+        assert angle(v, v) == pytest.approx(0.0, abs=1e-7)
 
     def test_opposite_models_are_pi_apart(self):
         v = np.array([1.0, 2.0])
-        assert d_cosine(v, -v) == pytest.approx(math.pi, abs=1e-7)
+        assert angle(v, -v) == pytest.approx(math.pi, abs=1e-7)
 
     def test_hand_computed_quarter_pi(self):
-        value = d_cosine(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+        value = angle(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
         assert value == pytest.approx(math.pi / 4, abs=1e-12)
         assert value == pytest.approx(0.78540, abs=1e-5)
-
-    def test_zero_norm_is_measurement_error(self):
-        with pytest.raises(MeasurementError):
-            d_cosine(np.zeros(3), np.ones(3))
 
     @given(vectors, st.floats(0.01, 50), st.floats(0.01, 50))
     @settings(max_examples=60, deadline=None)
@@ -49,29 +53,52 @@ class TestDCosine:
         w = np.roll(v, 1) + 0.3
         if np.linalg.norm(w) < 1e-9:
             return
-        base = d_cosine(v, w)
+        base = angle(v, w)
         assert 0.0 <= base <= math.pi
-        assert d_cosine(sa * v, sb * w) == pytest.approx(base, abs=1e-7)
+        assert angle(sa * v, sb * w) == pytest.approx(base, abs=1e-7)
+
+    def test_zero_norm_local_is_skipped_from_the_angular_mean_only(self):
+        global_params = np.array([1.0, 0.0])
+        locals_ = {1: np.zeros(2), 2: np.array([1.0, 1.0])}
+        d_cos, d_man = fairness_summary(locals_, global_params)
+        assert d_cos == pytest.approx(math.pi / 4, abs=1e-12)
+        assert d_man == pytest.approx((1.0 + 1.0) / 2, abs=1e-12)
+
+    def test_angular_mean_is_nan_when_every_client_is_skipped(self):
+        d_cos, d_man = fairness_summary({1: np.zeros(2), 2: np.zeros(2)}, np.ones(2))
+        assert math.isnan(d_cos)
+        assert d_man == 2.0
+        d_cos, d_man = fairness_summary({1: np.ones(2)}, np.zeros(2))
+        assert math.isnan(d_cos)
+        assert d_man == 2.0
+
+    def test_not_a_number_local_is_not_skipped(self):
+        # its norm is NaN, not below the threshold, so the NaN reaches both
+        # means; pytest turns any RuntimeWarning on the way into an error
+        locals_ = {1: np.array([np.nan, 1.0]), 2: np.array([1.0, 1.0])}
+        d_cos, d_man = fairness_summary(locals_, np.array([1.0, 0.0]))
+        assert math.isnan(d_cos)
+        assert math.isnan(d_man)
 
 
 class TestDManhattan:
     def test_identical_is_zero(self):
         v = np.array([1.0, 2.0])
-        assert d_manhattan(v, v) == 0.0
+        assert l1(v, v) == 0.0
 
     def test_hand_computed_value(self):
-        assert d_manhattan(np.array([1.0, 2.0]), np.array([0.0, 4.0])) == pytest.approx(3.0)
+        assert l1(np.array([1.0, 2.0]), np.array([0.0, 4.0])) == pytest.approx(3.0)
 
     def test_additive_over_layer_blocks(self):
         rng = np.random.default_rng(0)
         a, b = rng.normal(size=10), rng.normal(size=10)
-        split_sum = d_manhattan(a[:4], b[:4]) + d_manhattan(a[4:], b[4:])
-        assert d_manhattan(a, b) == pytest.approx(split_sum, rel=1e-12)
+        split_sum = l1(a[:4], b[:4]) + l1(a[4:], b[4:])
+        assert l1(a, b) == pytest.approx(split_sum, rel=1e-12)
 
     def test_degree_one_homogeneity(self):
         a = np.array([1.0, -2.0])
         b = np.array([0.5, 3.0])
-        assert d_manhattan(3 * a, 3 * b) == pytest.approx(3 * d_manhattan(a, b), rel=1e-12)
+        assert l1(3 * a, 3 * b) == pytest.approx(3 * l1(a, b), rel=1e-12)
 
 
 def shard(client_id, inputs, labels, num_classes):

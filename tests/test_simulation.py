@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 from pathlib import Path
 
@@ -7,10 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corefed import aggregation, simulation
+from corefed import aggregation, embedding, simulation
 from corefed.aggregation import ParticipationLedger
 from corefed.config import ALGORITHMS, ExperimentConfig, SyntheticSource
 from corefed.data import Dataset, Shard, gen_synthetic
+from corefed.embedding import cosine
 from corefed.errors import ClientSkipped, ConfigError, NumericalError, PartitionError
 from corefed.metrics import evaluation_plan
 from corefed.simulation import (
@@ -129,6 +131,26 @@ class TestRunRound:
                          seed=cfg.seed)
         with pytest.raises(NumericalError, match=r"^round 1: client 2: weight underflows"):
             run_round(state, cfg, shards, evaluation_plan(cfg.model, shards))
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_each_round_takes_each_similarity_once(self, monkeypatch, algorithm):
+        # per online client: its raw cosine with the global embedding, then
+        # with align its refined one; per unordered pair with align: one
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return cosine(a, b)
+
+        monkeypatch.setattr(simulation, "cosine", counted)
+        monkeypatch.setattr(embedding, "cosine", counted)
+        cfg = small_config(algorithm=algorithm, online_per_round=3, rounds=2)
+        run_simulation(cfg)
+        align, fair = ALGORITHMS[algorithm]
+        online = cfg.resolved_online()
+        per_round = (2 * online + math.comb(online, 2) if align
+                     else online if fair else 0)
+        assert len(calls) == cfg.rounds * per_round
 
     def test_fedavg_mode_logs_no_contrastive(self):
         cfg = small_config(algorithm="fedavg", rounds=1)
@@ -317,6 +339,26 @@ class TestBenchmarkTracerNames:
         # perfbench/tracer.py reads each traced function off its corefed module
         # at import, so a renamed or deleted one fails this import.
         assert import_tracer(monkeypatch).untraced_problems() == []
+
+
+class TestBenchmarkReferenceDigests:
+    def test_every_reference_names_the_hash_of_its_workload_config(self, monkeypatch, tmp_path):
+        # The benchmark looks a run's reference digest up by config_hash; if
+        # the config's serialization drifts, the lookup finds nothing and the
+        # byte check passes silently instead of failing.
+        import_tracer(monkeypatch)
+        import bench
+        from corefed.cli import SEED_ENV_VAR
+        from corefed.config import config_hash
+
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        entries = json.loads(bench.REFERENCE_FILE.read_text(encoding="utf-8"))
+        assert sorted(e["workload"] for e in entries) == sorted(bench.WORKLOADS)
+        for entry in entries:
+            workload = bench.WORKLOADS[entry["workload"]]
+            _, cfg = bench.write_config(workload, entry["config_seed"] - 1, None,
+                                        tmp_path / workload.name)
+            assert config_hash(cfg) == entry["config_sha1"], workload.name
 
 
 class TestBenchmarkTracerHooks:
