@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from collections.abc import Iterable
@@ -24,21 +25,34 @@ from .aggregation import ParticipationLedger
 from .errors import FormatError, InvariantError, TruncatedFileError
 
 LEDGER_SCHEMA_VERSION = 1
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
 
 
 def atomic_write(path, chunks: Iterable) -> None:
     """Write the bytes-like ``chunks`` to ``<path>.tmp``, then rename it to ``path``.
 
-    If anything fails before the rename, the temp file is unlinked and the
-    error propagates. There is no fsync: the rename orders the file's
-    replacement, not its durability across a power loss.
+    The chunks go to the kernel uncopied, ``SC_IOV_MAX`` buffers per
+    ``os.writev`` call, and a short write resumes where it stopped. If
+    anything fails before the rename, the temp file is unlinked and the error
+    propagates. There is no fsync: the rename orders the file's replacement,
+    not its durability across a power loss.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            views = [memoryview(chunk).cast("B") for chunk in chunks]
+            done = 0
+            while done < len(views):
+                written = os.writev(fd, views[done:done + _IOV_MAX])
+                while done < len(views) and written >= len(views[done]):
+                    written -= len(views[done])
+                    done += 1
+                if written:
+                    views[done] = views[done][written:]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -67,19 +81,39 @@ def read_vector(path) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8", offset=8).astype(np.float64)
 
 
+def _json_container(brackets: str, members: list[str], depth: int) -> str:
+    """The rendered ``members`` in ``brackets``, laid out as ``json.dumps(indent=2)`` at ``depth``."""
+    if not members:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(members) + "\n" + "  " * depth + brackets[1]
+
+
+def _json_float(x: float) -> str:
+    """``x`` as the json module writes a float."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
 def _ledger_files(ledger: ParticipationLedger) -> tuple[bytes, list]:
     """The ``ledger.json`` bytes and the ``gradients.bin`` chunks that describe ``ledger``.
 
     The manifest's ``history`` (round -> members) and ``last_participation``
     are derived from ``ledger.client_rounds``. Only gradients cached since
     their digest was last filled are hashed; the rest reuse their digest from
-    ``ledger.gradient_digests``.
+    ``ledger.gradient_digests``. The text is built directly, byte for byte
+    what ``json.dumps(document, indent=2) + "\n"`` gives for the document.
     """
     clients = sorted(ledger.client_rounds.items())
-    history: dict[int, list[int]] = {}
+    history: dict[int, list[str]] = {}
     for cid, rounds in clients:
         for r in rounds:
-            history.setdefault(r, []).append(cid)
+            history.setdefault(r, []).append(str(cid))
     entries = []
     chunks = []
     for cid in sorted(ledger.last_gradient):
@@ -89,16 +123,21 @@ def _ledger_files(ledger: ParticipationLedger) -> tuple[bytes, list]:
             sha = hashlib.sha256(prefix)
             sha.update(values)
             digest = ledger.gradient_digests[cid] = sha.hexdigest()
-        entries.append({"client": cid, "length": len(values), "sha256": digest})
+        entries.append(_json_container("{}", [f'"client": {cid}', f'"length": {len(values)}',
+                                              f'"sha256": "{digest}"'], 2))
         chunks += (prefix, values)
-    document = {
-        "schema_version": LEDGER_SCHEMA_VERSION,
-        "history": {str(r): history[r] for r in sorted(history)},
-        "last_participation": {str(c): rounds[-1] for c, rounds in clients},
-        "last_similarity": {str(c): s for c, s in sorted(ledger.last_similarity.items())},
-        "gradient_cache": entries,
-    }
-    return (json.dumps(document, indent=2) + "\n").encode("utf-8"), chunks
+    sections = [
+        f'"schema_version": {LEDGER_SCHEMA_VERSION}',
+        '"history": ' + _json_container(
+            "{}", [f'"{r}": ' + _json_container("[]", history[r], 2) for r in sorted(history)], 1),
+        '"last_participation": ' + _json_container(
+            "{}", [f'"{c}": {rounds[-1]}' for c, rounds in clients], 1),
+        '"last_similarity": ' + _json_container(
+            "{}", [f'"{c}": {_json_float(s)}' for c, s in sorted(ledger.last_similarity.items())],
+            1),
+        '"gradient_cache": ' + _json_container("[]", entries, 1),
+    ]
+    return (_json_container("{}", sections, 0) + "\n").encode("utf-8"), chunks
 
 
 def save_ledger(ledger: ParticipationLedger, json_path, gradients_path) -> None:

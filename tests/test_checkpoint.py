@@ -1,18 +1,21 @@
 import errno
 import hashlib
 import json
+import math
+import os
 import re
+import struct
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corefed import checkpoint
+from corefed import checkpoint, simulation
 from corefed.aggregation import ParticipationLedger
-from corefed.checkpoint import load_ledger, read_vector, save_ledger, write_vector
+from corefed.checkpoint import atomic_write, load_ledger, read_vector, save_ledger, write_vector
 from corefed.config import ExperimentConfig, SyntheticSource
 from corefed.errors import FormatError, TruncatedFileError
 from corefed.simulation import run_simulation
@@ -57,12 +60,43 @@ class TestVectorFile:
             read_vector(path)
 
 
+def dumps_manifest(document):
+    """``document`` as the json module encodes ledger.json: two-space indents and a final newline."""
+    return json.dumps(document, indent=2) + "\n"
+
+
+def ledger_json_oracle(ledger):
+    """The ledger.json bytes for ``ledger``, built as a document and encoded by the json module.
+
+    Each digest is the sha256 of the gradient's record, hashed here rather
+    than read from the ledger's memo.
+    """
+    history = {}
+    for cid, rounds in sorted(ledger.client_rounds.items()):
+        for t in rounds:
+            history.setdefault(t, []).append(cid)
+    entries = []
+    for cid, grad in sorted(ledger.last_gradient.items()):
+        record = struct.pack("<Q", len(grad)) + np.asarray(grad, dtype="<f8").tobytes()
+        entries.append({"client": cid, "length": len(grad),
+                        "sha256": hashlib.sha256(record).hexdigest()})
+    document = {
+        "schema_version": checkpoint.LEDGER_SCHEMA_VERSION,
+        "history": {str(t): history[t] for t in sorted(history)},
+        "last_participation": {str(cid): rounds[-1]
+                               for cid, rounds in sorted(ledger.client_rounds.items())},
+        "last_similarity": {str(cid): s for cid, s in sorted(ledger.last_similarity.items())},
+        "gradient_cache": entries,
+    }
+    return dumps_manifest(document).encode("utf-8")
+
+
 def edited(edit):
     """``edit`` applied to the parsed ledger.json, written back as save_ledger formats it."""
     def apply(text):
         document = json.loads(text)
         edit(document)
-        return json.dumps(document, indent=2) + "\n"
+        return dumps_manifest(document)
     return apply
 
 
@@ -197,14 +231,18 @@ def memo_free_copy(ledger):
     return copy
 
 
-# Only ledgers a run can write: every round has a member, and a cache op
-# stores a gradient and a similarity together for a client already recorded.
-ledger_ops = st.lists(st.one_of(
-    st.tuples(st.just("record"), st.sets(st.integers(1, 4), min_size=1, max_size=4)),
-    st.tuples(st.just("cache"), st.integers(1, 4), st.lists(st.floats(), max_size=3),
-              st.floats(-1, 1)),
-    st.tuples(st.just("save"), st.booleans()),
-), max_size=25)
+def ledger_ops_with(similarities):
+    """Ops that build only ledgers a run can write: every round has a member, and a
+    cache op stores a gradient and a similarity together for a client already recorded."""
+    return st.lists(st.one_of(
+        st.tuples(st.just("record"), st.sets(st.integers(1, 4), min_size=1, max_size=4)),
+        st.tuples(st.just("cache"), st.integers(1, 4), st.lists(st.floats(), max_size=3),
+                  similarities),
+        st.tuples(st.just("save"), st.booleans()),
+    ), max_size=25)
+
+
+ledger_ops = ledger_ops_with(st.floats(-1, 1))
 
 
 def apply_op(ledger, op, args):
@@ -260,24 +298,49 @@ class TestLoadRoundTrip:
                 assert (root / first).read_bytes() == (root / second).read_bytes()
 
 
+class TestManifestWriter:
+    """ledger.json is written directly; its bytes must be what the json module gives."""
+
+    @given(ledger_ops_with(st.floats()))
+    @example([])
+    @example([("record", {1, 2, 3}), ("cache", 1, [], math.nan), ("cache", 2, [0.5], math.inf),
+              ("save", False), ("cache", 3, [-0.0, 2.0], -math.inf), ("cache", 1, [1.0], -0.0)])
+    @settings(max_examples=120, deadline=None)
+    def test_manifest_matches_the_json_module(self, ops):
+        ledger = ParticipationLedger()
+        for op, *args in ops + [("save", False)]:
+            if op != "save":
+                apply_op(ledger, op, args)
+            else:
+                assert checkpoint._ledger_files(ledger)[0] == ledger_json_oracle(ledger)
+
+
+WRITEV = os.writev
+
+
 class DiskFull:
-    """A file whose first write lands and whose second fails, as on a full disk."""
+    """``os.writev`` on a disk that fills up: on the files ``full`` picks, the first
+    call lands part of its bytes and every later call raises ENOSPC."""
 
-    def __init__(self, fh):
-        self.fh = fh
-        self.writes = 0
+    def __init__(self, full):
+        self.full = full
+        self.calls = 0
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-
-    def write(self, chunk):
-        self.writes += 1
-        if self.writes > 1:
+    def __call__(self, fd, buffers):
+        if not self.full(fd):
+            return WRITEV(fd, buffers)
+        self.calls += 1
+        if self.calls > 1:
             raise OSError(errno.ENOSPC, "No space left on device")
-        return self.fh.write(chunk)
+        return WRITEV(fd, [memoryview(buffers[0]).cast("B")[:4]])
+
+
+def is_file(fd, path):
+    """Whether descriptor ``fd`` is open on the file at ``path``."""
+    try:
+        return os.path.samestat(os.fstat(fd), os.stat(path))
+    except FileNotFoundError:
+        return False
 
 
 class TestAtomicWrites:
@@ -289,13 +352,11 @@ class TestAtomicWrites:
         clean, torn = tmp_path / "clean", tmp_path / "torn"
         run_simulation(self.CONFIG, checkpoint_dir=clean)
 
-        def failing_open(path, *args, **kwargs):
-            fh = open(path, *args, **kwargs)
-            return DiskFull(fh) if Path(path) == torn / "round_2" / "gradients.bin.tmp" else fh
-
-        monkeypatch.setattr(checkpoint, "open", failing_open, raising=False)
+        disk = DiskFull(lambda fd: is_file(fd, torn / "round_2" / "gradients.bin.tmp"))
+        monkeypatch.setattr(os, "writev", disk)
         with pytest.raises(OSError, match="No space left"):
             run_simulation(self.CONFIG, checkpoint_dir=torn)
+        assert disk.calls == 2
 
         written = sorted(p.relative_to(torn).as_posix() for p in torn.rglob("*") if p.is_file())
         assert written == ["round_1/global.bin", "round_1/gradients.bin", "round_1/ledger.json",
@@ -306,12 +367,67 @@ class TestAtomicWrites:
     def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "vec.bin"
         write_vector(path, np.array([1.0, 2.0]))
-        monkeypatch.setattr(checkpoint, "open", lambda p, *a, **k: DiskFull(open(p, *a, **k)),
-                            raising=False)
+        disk = DiskFull(lambda fd: True)
+        monkeypatch.setattr(os, "writev", disk)
         with pytest.raises(OSError):
             write_vector(path, np.array([3.0]))
+        assert disk.calls == 2
         np.testing.assert_array_equal(read_vector(path), [1.0, 2.0])
         assert [p.name for p in tmp_path.iterdir()] == ["vec.bin"]
+
+    def test_short_writes_resume_where_they_stopped(self, tmp_path, monkeypatch):
+        iov_max = os.sysconf("SC_IOV_MAX")
+        calls = []
+
+        def short_writev(fd, buffers):
+            assert len(buffers) <= iov_max
+            calls.append(len(buffers))
+            budget, accepted = 4093, []
+            for buffer in buffers:
+                view = memoryview(buffer).cast("B")[:budget]
+                accepted.append(view)
+                budget -= len(view)
+                if not budget:
+                    break
+            return WRITEV(fd, accepted)
+
+        chunks = []
+        for i in range(iov_max // 2 + 50):
+            values = np.arange(i % 7, dtype=np.float64) * (i + 0.5)
+            values.flags.writeable = False
+            chunks += (struct.pack("<Q", len(values)), values)
+        assert len(chunks) > iov_max
+        monkeypatch.setattr(os, "writev", short_writev)
+        atomic_write(tmp_path / "chunks.bin", chunks)
+        assert (tmp_path / "chunks.bin").read_bytes() == b"".join(chunks)
+        assert len(calls) > 1
+
+
+class TestSynchronousSaves:
+    """perfbench's tracer sizes the checkpoint files the moment each writer returns."""
+
+    def test_every_file_is_complete_when_its_writer_returns(self, tmp_path, monkeypatch):
+        at_return = []
+
+        def sizes(*paths):
+            return {Path(p): Path(p).stat().st_size if Path(p).exists() else None for p in paths}
+
+        def watched(write, paths):
+            def call(*args):
+                write(*args)
+                at_return.append(sizes(*paths(args)))
+            return call
+
+        monkeypatch.setattr(simulation, "write_vector",
+                            watched(write_vector, lambda args: [args[0]]))
+        monkeypatch.setattr(simulation, "save_ledger", watched(
+            save_ledger, lambda args: [args[1], args[2], Path(args[1]).parent / "global.bin"]))
+        run_simulation(TestAtomicWrites.CONFIG, checkpoint_dir=tmp_path)
+
+        assert len(at_return) == 2 * TestAtomicWrites.CONFIG.rounds
+        for seen in at_return:
+            assert None not in seen.values()
+            assert seen == sizes(*seen)
 
 
 # sha256 of the checkpoints of a 120-client, 2-online corefed run: by round 60

@@ -567,6 +567,31 @@ GOLDEN_SHA256 = {
 }
 
 
+# sha256 of the ledger checkpoints GOLDEN_SHA256 leaves out. refed and fedavg
+# cache no gradient, so their ledger.json has an empty "last_similarity" and
+# "gradient_cache" and their gradients.bin is empty. Recorded before
+# ledger.json was written without the json module; every byte stayed the same.
+EMPTY_CACHE_SHA256 = {
+    f"{algorithm}/round_5/{name}": digest
+    for algorithm in ("refed", "fedavg")
+    for name, digest in (
+        ("ledger.json", "a7a2bcc422899d2aaccb56cc71cb6a56492442ba98cb19c0753e3e37af6da330"),
+        ("gradients.bin", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    )
+}
+
+
+class TestEmptyCacheBytes:
+    def test_ledger_checkpoints_without_a_cache_are_pinned(self, tmp_path, byte_scope):
+        config = write_config(tmp_path, GOLDEN_CONFIG)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(config), "--out", str(out), "--run-id", "golden",
+                     "--algorithms", "refed,fedavg"]) == 0
+        for name, digest in EMPTY_CACHE_SHA256.items():
+            data = (out / "golden" / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, f"{name}: {byte_scope}"
+
+
 # `corefed run` of GOLDEN_CONFIG with no --run-id: the directory name is the
 # config hash, and every file except summary.json (which names the run) is
 # the corefed sweep member's.
