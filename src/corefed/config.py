@@ -42,15 +42,6 @@ class SyntheticSource:
     input_dim: int = 32
     n: int = 2000
 
-    def __post_init__(self):
-        # Checked here, before a default model is derived from these sizes.
-        for name in ("num_classes", "input_dim", "n"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"dataset.{name} must be an integer")
-        _require(self.num_classes >= 1 and self.input_dim >= 1 and self.n >= 1,
-                 "dataset.num_classes, dataset.input_dim and dataset.n must be positive")
-
 
 @dataclass(frozen=True)
 class IdxSource:
@@ -88,7 +79,7 @@ class ExperimentConfig:
 
     def resolved_online(self) -> int:
         """Number of clients sampled per round."""
-        if isinstance(self.online_per_round, int):
+        if _is_int(self.online_per_round):
             return self.online_per_round
         return min(self.clients, max(1, round(self.online_per_round * self.clients)))
 
@@ -99,9 +90,18 @@ def _default_model(dataset) -> ModelSpec:
     return ModelSpec(784, (200, 200), 10)
 
 
+def lr_schedule(eta0: float, decay: float, t: int) -> float:
+    """Learning rate for round t (1-based): eta0 * decay^(t-1)."""
+    return eta0 * decay ** (t - 1)
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigError(message)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 _REAL_FIELDS = ("eta0", "lr_decay", "gamma", "k", "beta", "tau_c",
@@ -112,20 +112,38 @@ _INT_FIELDS = {"rounds": 0, "clients": 1, "local_epochs": 0, "batch_size": 1, "s
 
 
 def _validate(cfg: ExperimentConfig) -> None:
+    """Check every config value: the dataset, then the model, then the rest."""
+    src, model = cfg.dataset, cfg.model
+    if isinstance(src, SyntheticSource):
+        for name in ("num_classes", "input_dim", "n"):
+            _require(_is_int(getattr(src, name)), f"dataset.{name} must be an integer")
+        _require(src.num_classes >= 1 and src.input_dim >= 1 and src.n >= 1,
+                 "dataset.num_classes, dataset.input_dim and dataset.n must be positive")
+    else:
+        _require(isinstance(src, IdxSource), "dataset must be a SyntheticSource or an IdxSource")
+        for name, path in (("images", src.images), ("labels", src.labels)):
+            _require(isinstance(path, str) and path,
+                     f"dataset.{name} must be a non-empty path string")
+    _require(isinstance(model.hidden_dims, tuple) and model.hidden_dims,
+             "model.hidden_dims must be a non-empty list of positive widths")
+    for name, width in (("input_dim", model.input_dim), ("num_classes", model.num_classes),
+                        *(("hidden_dims", h) for h in model.hidden_dims)):
+        _require(_is_int(width) and width >= 1, f"model.{name} must be a positive integer")
+    _require(model.activation == "relu", f"unsupported model.activation {model.activation!r}")
     _require(isinstance(cfg.algorithm, str) and cfg.algorithm in ALGORITHMS,
              f"algorithm must be one of {', '.join(ALGORITHMS)}")
     for name in _REAL_FIELDS:
         value = getattr(cfg, name)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{name} must be a number")
-        _require(isinstance(value, int) or math.isfinite(value), f"{name} must be finite")
+        _require(_is_int(value) or math.isfinite(value), f"{name} must be finite")
     for name, least in _INT_FIELDS.items():
         value = getattr(cfg, name)
-        _require(isinstance(value, int) and not isinstance(value, bool) and value >= least,
+        _require(_is_int(value) and value >= least,
                  f"{name} must be a {'positive' if least else 'non-negative'} integer")
     if isinstance(cfg.online_per_round, bool) or not isinstance(cfg.online_per_round, (int, float)):
         raise ConfigError("online_per_round must be an integer count or a fraction in (0, 1]")
-    if isinstance(cfg.online_per_round, int):
+    if _is_int(cfg.online_per_round):
         _require(1 <= cfg.online_per_round <= cfg.clients,
                  "online_per_round must lie in [1, clients]")
     else:
@@ -133,8 +151,8 @@ def _validate(cfg: ExperimentConfig) -> None:
                  "online_per_round as a fraction must lie in (0, 1]")
     _require(cfg.eta0 > 0, "eta0 must be positive")
     _require(0.0 < cfg.lr_decay <= 1.0, "lr_decay must lie in (0, 1]")
-    # The rate eta0 * lr_decay^(t-1) never rises, so the last round's is the least.
-    _require(cfg.rounds < 1 or cfg.eta0 * cfg.lr_decay ** (cfg.rounds - 1) > 0,
+    # The rate never rises, so the last round's is the least.
+    _require(cfg.rounds < 1 or lr_schedule(cfg.eta0, cfg.lr_decay, cfg.rounds) > 0,
              f"learning rate eta0 * lr_decay^(t-1) reaches 0 before the last round, {cfg.rounds}")
     _require(cfg.gamma >= 0, "gamma must be non-negative")
     # The largest window is tau = ceil(clients / online), where a member's
@@ -158,13 +176,12 @@ def _validate(cfg: ExperimentConfig) -> None:
              f"tau_c must be at least {_TAU_C_MIN:.6g}: below it scores cos/tau_c overflow")
     _require(cfg.dirichlet_alpha > 0, "dirichlet_alpha must be positive")
     _require(0.0 < cfg.test_fraction < 1.0, "test_fraction must lie strictly between 0 and 1")
-    if isinstance(cfg.dataset, SyntheticSource):
-        src = cfg.dataset
+    if isinstance(src, SyntheticSource):
         _require(cfg.clients <= src.n, f"clients ({cfg.clients}) must be at most dataset.n "
                                        f"({src.n}): every client needs a sample")
-        _require(cfg.model.input_dim == src.input_dim,
+        _require(model.input_dim == src.input_dim,
                  "model.input_dim must match dataset.input_dim")
-        _require(cfg.model.num_classes == src.num_classes,
+        _require(model.num_classes == src.num_classes,
                  "model.num_classes must match dataset.num_classes")
 
 
@@ -179,7 +196,7 @@ def _parse_dataset(raw) -> SyntheticSource | IdxSource:
         _reject_unknown(raw, {"kind"} | _keys(IdxSource), "dataset")
         if "images" not in raw or "labels" not in raw:
             raise ConfigError("dataset.images and dataset.labels are required for kind 'idx'")
-        return IdxSource(images=str(raw["images"]), labels=str(raw["labels"]))
+        return IdxSource(images=raw["images"], labels=raw["labels"])
     raise ConfigError(f"dataset.kind must be 'synthetic' or 'idx', got {kind!r}")
 
 
@@ -190,9 +207,11 @@ def _parse_model(raw) -> ModelSpec:
     for key in ("input_dim", "hidden_dims", "num_classes"):
         if key not in raw:
             raise ConfigError(f"model.{key} is required when model is given")
-    if not isinstance(raw["hidden_dims"], list):
-        raise ConfigError("model.hidden_dims must be a list of positive widths")
-    return ModelSpec(**raw)
+    hidden = raw["hidden_dims"]
+    # JSON has no tuple; anything but a list is left for _validate to reject
+    if isinstance(hidden, list):
+        hidden = tuple(hidden)
+    return ModelSpec(**{**raw, "hidden_dims": hidden})
 
 
 def _keys(cls) -> frozenset[str]:

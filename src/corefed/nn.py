@@ -14,53 +14,38 @@ validated config. Nothing here re-checks them per call.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .data import Dataset, Shard
-from .errors import ClientSkipped, ConfigError
-
-
-def _as_width(value, field: str) -> int:
-    if isinstance(value, bool):
-        raise ConfigError(f"{field} must be an integer")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{field} must be an integer") from None
+from .errors import ClientSkipped
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Architecture description; the last hidden width is the embedding dim."""
+    """Architecture description; the last hidden width is the embedding dim.
+
+    Plain data: ``config`` validation checks the widths and the activation.
+    """
 
     input_dim: int
     hidden_dims: tuple[int, ...]
     num_classes: int
     activation: str = "relu"
 
-    def __post_init__(self):
-        object.__setattr__(self, "hidden_dims",
-                           tuple(_as_width(h, "hidden_dims") for h in self.hidden_dims))
-        object.__setattr__(self, "input_dim", _as_width(self.input_dim, "input_dim"))
-        object.__setattr__(self, "num_classes", _as_width(self.num_classes, "num_classes"))
-        if self.input_dim < 1 or self.num_classes < 1:
-            raise ConfigError("input_dim and num_classes must be positive")
-        if not self.hidden_dims or any(h < 1 for h in self.hidden_dims):
-            raise ConfigError("hidden_dims must be a non-empty list of positive widths")
-        if self.activation != "relu":
-            raise ConfigError(f"unsupported activation {self.activation!r}")
-        # (fan_in, fan_out, weight start, bias start, bias end) per layer in the
-        # flat vector; not a dataclass field, so equality and hashing ignore it
+    @cached_property
+    def _layout(self) -> tuple[tuple[int, int, int, int, int], ...]:
+        """(fan_in, fan_out, weight start, bias start, bias end) per layer in
+        the flat vector; not a dataclass field, so equality and hashing ignore it."""
         widths = (self.input_dim, *self.hidden_dims, self.num_classes)
         layout, offset = [], 0
         for fan_in, fan_out in zip(widths[:-1], widths[1:]):
             bias = offset + fan_in * fan_out
             layout.append((fan_in, fan_out, offset, bias, bias + fan_out))
             offset = bias + fan_out
-        object.__setattr__(self, "_layout", tuple(layout))
+        return tuple(layout)
 
     def layer_shapes(self) -> list[tuple[int, int]]:
         """(fan_in, fan_out) for every layer including the output layer."""

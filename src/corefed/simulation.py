@@ -21,7 +21,7 @@ from .aggregation import (
     pseudo_gradient,
 )
 from .checkpoint import save_ledger, write_vector
-from .config import ALGORITHMS, ExperimentConfig, IdxSource, SyntheticSource
+from .config import ALGORITHMS, ExperimentConfig, IdxSource, SyntheticSource, lr_schedule
 from .data import Dataset, Shard, dirichlet_partition, gen_synthetic, load_idx, split_test
 from .embedding import build_alignment_records, client_embedding, cosine, global_embedding
 from .errors import ConfigError, NumericalError
@@ -44,11 +44,6 @@ class RunState:
     params: np.ndarray
     ledger: ParticipationLedger
     seed: int
-
-
-def lr_schedule(eta0: float, decay: float, t: int) -> float:
-    """Learning rate for round t (1-based): eta0 * decay^(t-1)."""
-    return eta0 * decay ** (t - 1)
 
 
 def sample_clients(state: RunState, config: ExperimentConfig) -> frozenset[int]:

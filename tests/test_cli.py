@@ -1,10 +1,14 @@
+import ast
 import hashlib
 import json
 import math
 import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import corefed
 from corefed.cli import main
 from corefed.config import (
     ExperimentConfig,
@@ -16,6 +20,7 @@ from corefed.config import (
     parse_config,
 )
 from corefed.errors import ConfigError
+from corefed.nn import ModelSpec
 
 SMALL = {
     "rounds": 2,
@@ -152,6 +157,7 @@ class TestParseConfig:
     _DATASET_SIZES_POSITIVE = "dataset.num_classes, dataset.input_dim and dataset.n must be positive"
     # a valid model of its own, so that the dataset rule, not the model's, rejects a 0
     _MODEL = {"input_dim": 32, "hidden_dims": [8], "num_classes": 4}
+    _HIDDEN_DIMS_NON_EMPTY = "model.hidden_dims must be a non-empty list of positive widths"
 
     @pytest.mark.parametrize("raw, message", [
         ({"tau_c": 0.0}, "tau_c must be positive"),
@@ -172,14 +178,37 @@ class TestParseConfig:
         ({"dataset": {"num_classes": 0}}, _DATASET_SIZES_POSITIVE),
         ({"dataset": {"input_dim": 0}}, _DATASET_SIZES_POSITIVE),
         ({"dataset": {"input_dim": "x"}}, "dataset.input_dim must be an integer"),
+        ({"model": {**_MODEL, "hidden_dims": []}}, _HIDDEN_DIMS_NON_EMPTY),
+        ({"model": {**_MODEL, "activation": "tanh"}}, "unsupported model.activation 'tanh'"),
+        ({"model": {**_MODEL, "hidden_dims": [3.5]}},
+         "model.hidden_dims must be a positive integer"),
+        ({"model": {**_MODEL, "input_dim": "4"}}, "model.input_dim must be a positive integer"),
+        ({"model": {**_MODEL, "hidden_dims": [8, True]}},
+         "model.hidden_dims must be a positive integer"),
+        # built in Python, not parsed: ModelSpec itself checks nothing
+        (lambda: ExperimentConfig(model=ModelSpec(0, (3,), 2)),
+         "model.input_dim must be a positive integer"),
+        (lambda: ExperimentConfig(model=ModelSpec(np.int64(32), (np.int64(8),), np.int64(4))),
+         "model.input_dim must be a positive integer"),
+        (lambda: ExperimentConfig(model=ModelSpec(32, [8], 4)), _HIDDEN_DIMS_NON_EMPTY),
+        ({"dataset": {"kind": "idx", "images": "a", "labels": ""}},
+         "dataset.labels must be a non-empty path string"),
+        # a Path would build, then fail to serialize in dumps_config
+        (lambda: ExperimentConfig(dataset=IdxSource(Path("a"), Path("b"))),
+         "dataset.images must be a non-empty path string"),
+        (lambda: ExperimentConfig(dataset={"kind": "synthetic"}),
+         "dataset must be a SyntheticSource or an IdxSource"),
     ], ids=["tau_c", "beta", "eta0", "lr_decay", "gamma", "k", "batch_size", "online_per_round",
             "test_fraction_0", "test_fraction_1", "dirichlet_alpha", "dataset_n",
             "dataset_num_classes", "dataset_input_dim", "dataset_num_classes_default_model",
-            "dataset_input_dim_default_model", "dataset_input_dim_type_default_model"])
+            "dataset_input_dim_default_model", "dataset_input_dim_type_default_model",
+            "model_hidden_empty", "model_activation", "model_width_float", "model_input_str",
+            "model_width_bool", "py_model_zero", "py_model_numpy", "py_model_list",
+            "idx_labels_empty", "py_idx_paths", "py_dataset_dict"])
     def test_value_the_round_pipeline_trusts_is_rejected(self, raw, message):
         # nn, embedding, aggregation and data take these values without a check of their own
         with pytest.raises(ConfigError, match=message):
-            config_from_dict(raw)
+            raw() if callable(raw) else config_from_dict(raw)
 
     def test_more_clients_than_samples_is_rejected(self, tmp_path):
         path = write_config(tmp_path, {"clients": 3000, "dataset": {"n": 2000}})
@@ -215,6 +244,23 @@ class TestParseConfig:
         b = config_from_dict(dict(SMALL))
         assert config_hash(a) == config_hash(b)
         assert config_hash(a) != config_hash(config_from_dict({**SMALL, "seed": 6}))
+
+
+class TestConfigBoundary:
+    # The numerical layers trust validated config values; a rule that names
+    # ConfigError there is a config rule living outside config.py.
+    TRUSTING = ("nn.py", "embedding.py", "aggregation.py", "metrics.py", "data.py",
+                "checkpoint.py", "rng.py")
+
+    @pytest.mark.parametrize("module", TRUSTING)
+    def test_numerical_layer_does_not_name_config_error(self, module):
+        tree = ast.parse((Path(corefed.__file__).parent / module).read_text(encoding="utf-8"))
+        named = [node.lineno for node in ast.walk(tree)
+                 if (isinstance(node, ast.Name) and node.id == "ConfigError")
+                 or (isinstance(node, ast.Attribute) and node.attr == "ConfigError")
+                 or (isinstance(node, ast.ImportFrom)
+                     and any(alias.name == "ConfigError" for alias in node.names))]
+        assert named == [], f"{module} names ConfigError on line(s) {named}"
 
 
 class TestCmdRun:
@@ -387,6 +433,8 @@ class TestValidateAndEnv:
         '{"lr_decay": 0.001, "rounds": 120}',
         '{"tau_c": 1e-310}',
         '{"clients": 3000, "dataset": {"n": 2000}}',
+        # null and 5 are not paths; they must not reach `run` as "None" and "5"
+        '{"dataset": {"kind": "idx", "images": null, "labels": 5}}',
     ])
     def test_validate_rejects_malformed_values(self, tmp_path, capsys, text):
         path = tmp_path / "malformed.json"
