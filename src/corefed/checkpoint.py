@@ -153,7 +153,8 @@ def load_ledger(json_path, gradients_path) -> ParticipationLedger:
     The ledger is rebuilt through its mutators, and ``ledger.json`` must hold
     exactly the bytes ``save_ledger`` writes for the rebuilt ledger; any other
     manifest raises FormatError naming the file. ``gradients.bin`` must hold
-    the records the manifest lists, each with its digest, and nothing more.
+    the records the manifest lists, each with its digest, and nothing more; a
+    record longer than the rest of the file raises TruncatedFileError unread.
     """
     manifest = Path(json_path).read_bytes()
     try:
@@ -174,9 +175,11 @@ def load_ledger(json_path, gradients_path) -> ParticipationLedger:
             InvariantError) as exc:
         raise FormatError(f"{json_path}: no run writes this ledger: {exc!r}") from exc
     with open(gradients_path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         for cid, length, digest in cache:
-            packed = fh.read(8 + length * 8)
-            if len(packed) != 8 + length * 8:
+            nbytes = 8 + length * 8
+            packed = fh.read(nbytes) if nbytes <= size - fh.tell() else b""
+            if len(packed) != nbytes:
                 raise TruncatedFileError(f"{gradients_path}: gradient cache shorter than manifest")
             if hashlib.sha256(packed).hexdigest() != digest:
                 raise FormatError(f"{gradients_path}: digest mismatch for client {cid}")

@@ -28,7 +28,7 @@ from .config import (
 )
 from .errors import ConfigError
 from .metrics import RoundReport
-from .simulation import run_simulation
+from .simulation import build_shards, run_simulation
 
 SEED_ENV_VAR = "COREFED_SEED"
 SUMMARY_SCHEMA_VERSION = 1
@@ -128,9 +128,10 @@ def _run_id(args, prefix: str, cfg: ExperimentConfig) -> str:
     return args.run_id
 
 
-def _run_into(run_dir: Path, run_id: str, cfg: ExperimentConfig) -> list[RoundReport]:
-    """Simulate ``cfg`` into the existing ``run_dir`` (checkpoints included) and write its files."""
-    reports = run_simulation(cfg, checkpoint_dir=run_dir).reports
+def _run_into(run_dir: Path, run_id: str, cfg: ExperimentConfig, shards=None) -> list[RoundReport]:
+    """Simulate ``cfg`` into the existing ``run_dir`` (checkpoints included) and write its files;
+    ``shards`` are a sweep's one build of the data (by default ``cfg``'s own)."""
+    reports = run_simulation(cfg, shards=shards, checkpoint_dir=run_dir).reports
     write_outputs(run_dir, cfg, run_id, reports)
     return reports
 
@@ -146,20 +147,18 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> None:
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     if not algorithms:
         raise ConfigError("sweep needs at least one algorithm")
-    unknown = [a for a in algorithms if a not in ALGORITHMS]
-    if unknown:
-        raise ConfigError(f"unknown algorithm(s): {', '.join(unknown)}")
     repeated = sorted({a for a in algorithms if algorithms.count(a) > 1})
     if repeated:
         raise ConfigError(f"algorithm(s) given more than once: {', '.join(repeated)}")
+    configs = [replace(cfg, algorithm=a) for a in algorithms]  # _validate rejects unknown names
     out = Path(args.out)
     run_id = _run_id(args, "sweep", cfg)
     with _fresh_dir(out / run_id, args.overwrite) as sweep_dir:
+        shards = build_shards(cfg)  # one data set-up; every algorithm trains on it
         comparison = ["algorithm,accuracy,d_cosine,d_manhattan"]
-        for algorithm in algorithms:
+        for algorithm, run_cfg in zip(algorithms, configs):
             (sweep_dir / algorithm).mkdir()
-            reports = _run_into(sweep_dir / algorithm, f"{run_id}/{algorithm}",
-                                replace(cfg, algorithm=algorithm))
+            reports = _run_into(sweep_dir / algorithm, f"{run_id}/{algorithm}", run_cfg, shards)
             finals = [getattr(reports[-1], name) if reports else math.nan
                       for name in ("mean_accuracy", "d_cosine_mean", "d_manhattan_mean")]
             comparison.append(",".join([algorithm, *map(_fmt, finals)]))

@@ -12,6 +12,7 @@ injected shards) against the model before a round runs.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -93,10 +94,12 @@ def gen_synthetic(num_classes: int, input_dim: int, n: int, seed: int) -> Datase
 
 
 def _read_exact(fh, nbytes: int, path, what: str) -> bytes:
-    data = fh.read(nbytes)
+    """The next ``nbytes`` of ``fh``; a size the file cannot hold raises before any read."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    data = fh.read(nbytes) if nbytes <= left else b""
     if len(data) != nbytes:
         raise TruncatedFileError(f"{path}: truncated while reading {what} "
-                                 f"(wanted {nbytes} bytes, got {len(data)})")
+                                 f"(wanted {nbytes} bytes, {left} left)")
     return data
 
 
@@ -108,6 +111,8 @@ def load_idx(images_path, labels_path) -> Dataset:
       labels  [magic u32 = 0x00000801][count u32][labels u8 ...]
 
     Pixels are scaled to [0, 1] by division by 255 and flattened row-major.
+    A declared payload longer than the rest of its file raises
+    TruncatedFileError before it is read.
     """
     with open(images_path, "rb") as fh:
         magic, count, rows, cols = struct.unpack(">IIII", _read_exact(fh, 16, images_path, "image header"))

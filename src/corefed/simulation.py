@@ -21,7 +21,7 @@ from .aggregation import (
     pseudo_gradient,
 )
 from .checkpoint import save_ledger, write_vector
-from .config import ALGORITHMS, ExperimentConfig, IdxSource, SyntheticSource, lr_schedule
+from .config import ALGORITHMS, ExperimentConfig, SyntheticSource, lr_schedule
 from .data import Dataset, Shard, dirichlet_partition, gen_synthetic, load_idx, split_test
 from .embedding import build_alignment_records, client_embedding, cosine, global_embedding
 from .errors import ConfigError, NumericalError
@@ -82,7 +82,6 @@ def build_shards(config: ExperimentConfig) -> list[Shard]:
         dataset = gen_synthetic(src.num_classes, src.input_dim, src.n,
                                 seed=derive_seed(config.seed, "dataset"))
     else:
-        assert isinstance(config.dataset, IdxSource)
         dataset = load_idx(config.dataset.images, config.dataset.labels)
         _check_fits(config.model, dataset, "loaded")
         if config.clients > len(dataset):
@@ -107,7 +106,8 @@ def run_round(state: RunState, config: ExperimentConfig, shards: list[Shard],
     weights (similarity from the raw embedding unless ``align`` is on).
     With neither, no embedding pass runs and the round is plain FedAvg.
     Every sampled client trains; a shard without training data stops the run
-    with ``ClientSkipped``, a dead last hidden layer with ``NumericalError``.
+    with ``ClientSkipped``, a dead last hidden layer or a new global model
+    that is not finite with ``NumericalError``.
     The new global model is scored against ``plan``, built from ``shards``.
     """
     t = state.round + 1
@@ -142,6 +142,10 @@ def run_round(state: RunState, config: ExperimentConfig, shards: list[Shard],
             state.ledger.record_round(t, active)
             sizes = {cid: len(by_id[cid].train) for cid in active}
             new_params = fedavg_aggregate(local_models, sizes)
+        if not np.isfinite(new_params).all():
+            bad = [cid for cid in active if not np.isfinite(local_models[cid]).all()]
+            raise NumericalError(f"client {bad[0]}: local model is not finite" if bad
+                                 else "aggregated model is not finite: the aggregation overflowed")
     except NumericalError as exc:
         raise NumericalError(f"round {t}: {exc}") from None
 
@@ -171,10 +175,11 @@ def run_simulation(config: ExperimentConfig, shards: list[Shard] | None = None,
     """Run the full experiment, checkpointing into ``checkpoint_dir`` (when given)
     every ``checkpoint_interval`` rounds (when positive).
 
-    ``shards`` may be injected (tests, pre-built partitions); by default they
-    are derived from the config seed. Injected shards are checked once
-    against the model here, so nothing further in needs to check them. The
-    evaluation plan is built once, before the first round trains.
+    ``shards`` may be injected (a sweep's one build for all its algorithms,
+    tests); by default they are derived from the config seed. Injected
+    shards are checked once against the model here, so nothing further in
+    needs to check them. The evaluation plan is built once, before the
+    first round trains.
     """
     if shards is None:
         shards = build_shards(config)

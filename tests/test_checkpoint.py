@@ -126,6 +126,16 @@ class TestLedgerCheckpoint:
         with pytest.raises(TruncatedFileError):
             load_ledger(tmp_path / "ledger.json", tmp_path / "gradients.bin")
 
+    def test_manifest_length_past_the_cache_is_rejected_unread(self, tmp_path):
+        # asking read() for the 8 + 8 * 2**62 bytes this length declares
+        # raised OverflowError
+        save_ledger(sample_ledger(), tmp_path / "ledger.json", tmp_path / "gradients.bin")
+        text = (tmp_path / "ledger.json").read_text(encoding="utf-8")
+        text = edited(lambda d: d["gradient_cache"][0].update({"length": 2**62}))(text)
+        (tmp_path / "ledger.json").write_text(text, encoding="utf-8")
+        with pytest.raises(TruncatedFileError, match="gradient cache shorter than manifest"):
+            load_ledger(tmp_path / "ledger.json", tmp_path / "gradients.bin")
+
     @pytest.mark.parametrize("edit, damaged", [
         (edited(lambda d: d["history"].update({"x": [1]})), "ledger.json"),
         (edited(lambda d: d["history"].update({"01": [3]})), "ledger.json"),

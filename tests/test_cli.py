@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import corefed
+from corefed import simulation
 from corefed.cli import main
 from corefed.config import (
     ExperimentConfig,
@@ -385,11 +386,28 @@ class TestCmdSweep:
         main(args + ["--overwrite"])
         assert (out / "sw" / "comparison.csv").read_text() == first
 
-    def test_unknown_algorithm_rejected(self, tmp_path):
+    def test_unknown_algorithm_rejected(self, tmp_path, capsys):
         config = write_config(tmp_path, SMALL)
-        code = main(["sweep", "--config", str(config), "--out", str(tmp_path / "o"),
+        out = tmp_path / "o"
+        code = main(["sweep", "--config", str(config), "--out", str(out),
                      "--algorithms", "corefed,qfedavg"])
         assert code == 1
+        assert "algorithm must be one of corefed, cofed, refed, fedavg" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_builds_the_data_once(self, tmp_path, monkeypatch):
+        built = []
+        gen_synthetic = simulation.gen_synthetic
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return gen_synthetic(*args, **kwargs)
+
+        monkeypatch.setattr(simulation, "gen_synthetic", counted)
+        config = write_config(tmp_path, {**SMALL, "rounds": 1})
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o"),
+                     "--algorithms", "corefed,cofed,refed,fedavg"]) == 0
+        assert len(built) == 1
 
     def test_repeated_algorithm_rejected_before_any_run(self, tmp_path, capsys):
         config = write_config(tmp_path, SMALL)
@@ -571,6 +589,19 @@ class TestDeadLastLayerRun:
         out = tmp_path / "out"
         assert main(["run", "--config", str(config), "--out", str(out)]) == 1
         assert "error: round 2: client 2: all" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the CLI does not raise them
+    def test_fedavg_run_whose_model_overflows_exits_1(self, tmp_path, capsys):
+        # fedavg runs no embedding pass; the finite check after aggregation
+        # stops the run instead of writing nan d_cos rows and NaN summary tokens
+        config = write_config(tmp_path, {
+            "algorithm": "fedavg", "rounds": 3, "clients": 10, "online_per_round": 0.4,
+            "batch_size": 50, "dirichlet_alpha": 0.5, "eta0": 1e300, "seed": 1,
+            "dataset": {"kind": "synthetic", "num_classes": 4, "input_dim": 32, "n": 2000}})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+        assert "error: round 1: client 2: local model is not finite" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
 

@@ -106,6 +106,15 @@ class TestLoadIdx:
         with pytest.raises(TruncatedFileError):
             load_idx(*paths)
 
+    def test_declared_size_past_the_file_is_rejected_unread(self, tmp_path):
+        # count, rows and cols all 0xFFFFFFFF in a 17-byte file: asking read()
+        # for count * rows * cols bytes raised OverflowError
+        images, labels = write_idx_pair(tmp_path, [0], [0], rows=0xFFFFFFFF, cols=0xFFFFFFFF,
+                                        image_count=0xFFFFFFFF)
+        assert len(images.read_bytes()) == 17
+        with pytest.raises(TruncatedFileError, match="truncated while reading pixel data"):
+            load_idx(images, labels)
+
 
 def label_entropy(labels, num_classes):
     counts = np.bincount(labels, minlength=num_classes)

@@ -132,6 +132,22 @@ class TestRunRound:
         with pytest.raises(NumericalError, match=r"^round 1: client 2: weight underflows"):
             run_round(state, cfg, shards, evaluation_plan(cfg.model, shards))
 
+    @pytest.mark.parametrize("algorithm", ["corefed", "fedavg"])
+    def test_aggregate_that_overflows_stops_the_round(self, monkeypatch, algorithm):
+        # every local model is finite, so no client is named
+        def overflow(*args):
+            return np.full(cfg.model.num_params(), np.inf)
+
+        monkeypatch.setattr(simulation, "aggregate", overflow)
+        monkeypatch.setattr(simulation, "fedavg_aggregate", overflow)
+        cfg = small_config(algorithm=algorithm, rounds=1)
+        shards = equal_shards(5, 8)
+        state = RunState(round=0, params=initial_params(cfg), ledger=ParticipationLedger(),
+                         seed=cfg.seed)
+        with pytest.raises(NumericalError, match=r"^round 1: aggregated model is not finite: "
+                                                 r"the aggregation overflowed$"):
+            run_round(state, cfg, shards, evaluation_plan(cfg.model, shards))
+
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_each_round_takes_each_similarity_once(self, monkeypatch, algorithm):
         # per online client: its raw cosine with the global embedding, then
