@@ -112,13 +112,17 @@ def load_idx(images_path, labels_path) -> Dataset:
 
     Pixels are scaled to [0, 1] by division by 255 and flattened row-major.
     A declared payload longer than the rest of its file raises
-    TruncatedFileError before it is read.
+    TruncatedFileError before it is read; an image size past the index
+    range raises FormatError.
     """
     with open(images_path, "rb") as fh:
         magic, count, rows, cols = struct.unpack(">IIII", _read_exact(fh, 16, images_path, "image header"))
         if magic != IDX3_MAGIC:
             raise FormatError(f"{images_path}: bad IDX3 magic 0x{magic:08x}")
         pixels = _read_exact(fh, count * rows * cols, images_path, "pixel data")
+        if rows * cols > np.iinfo(np.intp).max:  # only a count of 0 gets here
+            raise FormatError(f"{images_path}: {rows} x {cols} pixels per image "
+                              f"exceed the index range")
     with open(labels_path, "rb") as fh:
         magic, label_count = struct.unpack(">II", _read_exact(fh, 8, labels_path, "label header"))
         if magic != IDX1_MAGIC:

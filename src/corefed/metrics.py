@@ -3,23 +3,30 @@
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Dataset, Shard
 from .embedding import _NORM_EPS
-from .errors import MeasurementError
+from .errors import MeasurementError, NumericalError
 from .nn import ModelSpec, forward
 
 
 @dataclass(frozen=True)
 class RoundReport:
-    """Observable output of one simulated round."""
+    """Observable output of one simulated round.
+
+    ``accuracies[i]`` is the global model's accuracy on the test slice of
+    client ``client_ids[i]``: one float64 per tested client, in the order of
+    the run's evaluation plan, whose ``client_ids`` every report shares.
+    """
 
     round: int
     mean_accuracy: float
-    per_client_accuracy: dict[int, float]
+    client_ids: tuple[int, ...] = field(repr=False)
+    accuracies: array = field(repr=False)
     d_cosine_mean: float
     d_manhattan_mean: float
     contrastive_losses: dict[int, float | None] = field(repr=False)
@@ -67,18 +74,23 @@ def evaluation_plan(spec: ModelSpec, shards: list[Shard]) -> EvaluationPlan:
 
 
 def evaluate_accuracy(global_params: np.ndarray, spec: ModelSpec,
-                      plan: EvaluationPlan) -> tuple[float, dict[int, float]]:
-    """Per-client argmax accuracy on the plan's test slices, plus the unweighted mean.
+                      plan: EvaluationPlan) -> tuple[float, array]:
+    """The unweighted mean of the per-client accuracies, and those accuracies.
 
+    The accuracies are an ``array('d')`` aligned with ``plan.client_ids``.
     One forward pass scores every slice; hit counts are split back per
-    client. Argmax ties resolve to the lowest class index.
+    client. Argmax ties resolve to the lowest class index. Raises
+    NumericalError when the last hidden layer is dead on every test row.
     """
-    _, logits = forward(global_params, spec, plan.data)
+    embeddings, logits = forward(global_params, spec, plan.data)
+    # a live model settles on its first row; only a dying one reads every row
+    if not (embeddings[0].max() > 0.0 or embeddings.max() > 0.0):
+        raise NumericalError(f"global model: last hidden layer is dead on all "
+                             f"{len(embeddings)} test rows")
     hits = np.add.reduceat(logits.argmax(axis=1) == plan.data.labels, plan.starts,
                            dtype=np.int64)
     accuracies = hits / plan.sizes
-    per_client = dict(zip(plan.client_ids, accuracies.tolist()))
-    return float(np.mean(accuracies)), per_client
+    return float(np.mean(accuracies)), array("d", accuracies.tobytes())
 
 
 def fairness_summary(local_models: dict[int, np.ndarray],

@@ -106,8 +106,9 @@ def run_round(state: RunState, config: ExperimentConfig, shards: list[Shard],
     weights (similarity from the raw embedding unless ``align`` is on).
     With neither, no embedding pass runs and the round is plain FedAvg.
     Every sampled client trains; a shard without training data stops the run
-    with ``ClientSkipped``, a dead last hidden layer or a new global model
-    that is not finite with ``NumericalError``.
+    with ``ClientSkipped``; a client's dead last hidden layer, or a new
+    global model that is not finite or is dead on every test row, with
+    ``NumericalError``.
     The new global model is scored against ``plan``, built from ``shards``.
     """
     t = state.round + 1
@@ -146,15 +147,16 @@ def run_round(state: RunState, config: ExperimentConfig, shards: list[Shard],
             bad = [cid for cid in active if not np.isfinite(local_models[cid]).all()]
             raise NumericalError(f"client {bad[0]}: local model is not finite" if bad
                                  else "aggregated model is not finite: the aggregation overflowed")
+        mean_accuracy, accuracies = evaluate_accuracy(new_params, config.model, plan)
     except NumericalError as exc:
         raise NumericalError(f"round {t}: {exc}") from None
 
-    mean_accuracy, per_client = evaluate_accuracy(new_params, config.model, plan)
     d_cos_mean, d_man_mean = fairness_summary(local_models, new_params)
     report = RoundReport(
         round=t,
         mean_accuracy=mean_accuracy,
-        per_client_accuracy=per_client,
+        client_ids=plan.client_ids,
+        accuracies=accuracies,
         d_cosine_mean=d_cos_mean,
         d_manhattan_mean=d_man_mean,
         contrastive_losses=contrastives,

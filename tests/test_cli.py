@@ -10,7 +10,7 @@ import pytest
 
 import corefed
 from corefed import simulation
-from corefed.cli import main
+from corefed.cli import main, write_outputs
 from corefed.config import (
     ExperimentConfig,
     IdxSource,
@@ -352,6 +352,19 @@ class TestCmdRun:
         main(["run", "--config", str(config), "--out", str(out), "--run-id", "ck"])
         assert (out / "ck" / "round_2" / "global.bin").exists()
 
+    def test_per_client_rows_ascend_by_id_whatever_the_shard_order(self, tmp_path):
+        cfg = config_from_dict({**SMALL, "clients": 6, "rounds": 3})
+        shards = simulation.build_shards(cfg)[::-1]
+        reports = simulation.run_simulation(cfg, shards=shards).reports
+        tested = [s.client_id for s in shards if len(s.test)]
+        assert reports[0].client_ids == tuple(tested) == tuple(sorted(tested, reverse=True))
+        write_outputs(tmp_path, cfg, "r", reports)
+        rows = (tmp_path / "per_client_accuracy.csv").read_text().splitlines()[1:]
+        got = [(int(t), int(cid), float(a)) for t, cid, a in (row.split(",") for row in rows)]
+        want = [(r.round, cid, dict(zip(r.client_ids, r.accuracies))[cid])
+                for r in reports for cid in sorted(tested)]
+        assert got == want
+
 
 class TestCmdSweep:
     def test_sweep_writes_comparison_in_declared_order(self, tmp_path):
@@ -602,6 +615,19 @@ class TestDeadLastLayerRun:
         out = tmp_path / "out"
         assert main(["run", "--config", str(config), "--out", str(out)]) == 1
         assert "error: round 1: client 2: local model is not finite" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_fedavg_run_whose_model_dies_exits_1(self, tmp_path, capsys):
+        # fedavg runs no embedding pass; scoring the new global model finds
+        # no test row with a positive last hidden activation from round 2 on
+        config = write_config(tmp_path, {
+            "algorithm": "fedavg", "rounds": 3, "clients": 10, "online_per_round": 0.4,
+            "batch_size": 50, "dirichlet_alpha": 0.5, "eta0": 50, "seed": 1,
+            "dataset": {"kind": "synthetic", "num_classes": 4, "input_dim": 32, "n": 2000}})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+        assert ("error: round 2: global model: last hidden layer is dead on all 400 test rows"
+                in capsys.readouterr().err)
         assert list(out.iterdir()) == []
 
 

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -113,6 +114,14 @@ class TestLoadIdx:
                                         image_count=0xFFFFFFFF)
         assert len(images.read_bytes()) == 17
         with pytest.raises(TruncatedFileError, match="truncated while reading pixel data"):
+            load_idx(images, labels)
+
+    def test_image_size_past_the_index_range_is_format_error(self, tmp_path):
+        # count 0 declares no pixels, so the size check passes; reshaping to
+        # 0xFFFFFFFF ** 2 columns raised numpy's "Maximum allowed dimension exceeded"
+        images, labels = write_idx_pair(tmp_path, [], [], rows=0xFFFFFFFF, cols=0xFFFFFFFF,
+                                        image_count=0)
+        with pytest.raises(FormatError, match=re.escape(f"{images}: 4294967295 x 4294967295")):
             load_idx(images, labels)
 
 

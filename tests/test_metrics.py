@@ -1,12 +1,13 @@
 import math
+from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corefed.data import Dataset, Shard
-from corefed.errors import MeasurementError
+from corefed.errors import MeasurementError, NumericalError
 from corefed import simulation
 from corefed.config import ExperimentConfig, SyntheticSource
 from corefed.metrics import (
@@ -15,7 +16,7 @@ from corefed.metrics import (
     evaluation_plan,
     fairness_summary,
 )
-from corefed.nn import ModelSpec, forward
+from corefed.nn import ModelSpec, forward, unflatten
 
 vectors = st.lists(st.floats(-5, 5), min_size=2, max_size=8)
 
@@ -106,6 +107,15 @@ def shard(client_id, inputs, labels, num_classes):
     return Shard(client_id=client_id, train=ds, test=ds)
 
 
+def zero_output_model(spec):
+    """Hidden biases of 1 and every other parameter 0: a live last hidden
+    layer under an all-zero output layer, so every logit is 0."""
+    params = np.zeros(spec.num_params())
+    for _, bias in unflatten(params, spec)[:-1]:
+        bias[:] = 1.0
+    return params
+
+
 class TestEvaluateAccuracy:
     def setup_method(self):
         self.spec = ModelSpec(2, (3,), 4)
@@ -114,16 +124,30 @@ class TestEvaluateAccuracy:
         # all-zero logits: argmax tie resolves to class 0
         balanced = shard(1, np.random.default_rng(0).uniform(size=(8, 2)),
                          np.tile(np.arange(4), 2), 4)
-        mean, per_client = evaluate_accuracy(np.zeros(self.spec.num_params()), self.spec,
-                                             evaluation_plan(self.spec, [balanced]))
+        plan = evaluation_plan(self.spec, [balanced])
+        mean, accuracies = evaluate_accuracy(zero_output_model(self.spec), self.spec, plan)
         assert mean == pytest.approx(0.25)
-        assert per_client == {1: pytest.approx(0.25)}
+        assert dict(zip(plan.client_ids, accuracies)) == {1: pytest.approx(0.25)}
+
+    def test_dead_last_hidden_layer_is_numerical_error(self):
+        s = shard(1, np.random.default_rng(0).uniform(size=(8, 2)), np.tile(np.arange(4), 2), 4)
+        with pytest.raises(NumericalError, match="last hidden layer is dead on all 8 test rows"):
+            evaluate_accuracy(np.zeros(self.spec.num_params()), self.spec,
+                              evaluation_plan(self.spec, [s]))
+
+    def test_one_live_row_keeps_the_model_alive(self):
+        # the first row's activations are all 0, the last row's are not
+        params = np.zeros(self.spec.num_params())
+        unflatten(params, self.spec)[0][0][:] = 1.0
+        s = shard(1, [[0.0, 0.0]] * 3 + [[0.5, 0.0]], [0, 1, 0, 1], 4)
+        mean, _ = evaluate_accuracy(params, self.spec, evaluation_plan(self.spec, [s]))
+        assert mean == 0.5
 
     def test_tie_break_matches_brute_force_oracle(self):
         rng = np.random.default_rng(5)
         params = rng.uniform(-1, 1, self.spec.num_params())
         s = shard(1, rng.uniform(size=(12, 2)), rng.integers(0, 4, size=12), 4)
-        _, per_client = evaluate_accuracy(params, self.spec, evaluation_plan(self.spec, [s]))
+        _, accuracies = evaluate_accuracy(params, self.spec, evaluation_plan(self.spec, [s]))
 
         _, logits = forward(params, self.spec, s.test)
         hits = 0
@@ -133,7 +157,7 @@ class TestEvaluateAccuracy:
                 if row[j] > best_value:
                     best, best_value = j, row[j]
             hits += best == label
-        assert per_client[1] == pytest.approx(hits / 12)
+        assert list(accuracies) == [pytest.approx(hits / 12)]
 
     def test_clients_without_test_data_are_excluded(self):
         rng = np.random.default_rng(1)
@@ -141,8 +165,9 @@ class TestEvaluateAccuracy:
         with_data = shard(1, rng.uniform(size=(4, 2)), rng.integers(0, 4, size=4), 4)
         no_data = Shard(client_id=2, train=with_data.train, test=empty)
         plan = evaluation_plan(self.spec, [with_data, no_data])
-        mean, per_client = evaluate_accuracy(np.zeros(self.spec.num_params()), self.spec, plan)
-        assert set(per_client) == {1}
+        _, accuracies = evaluate_accuracy(zero_output_model(self.spec), self.spec, plan)
+        assert plan.client_ids == (1,)
+        assert len(accuracies) == 1
 
     def test_all_empty_is_measurement_error(self):
         empty = Dataset(np.empty((0, 2)), np.empty(0, dtype=np.int64), 4)
@@ -164,13 +189,17 @@ class TestEvaluateAccuracy:
 def per_slice_accuracy(global_params, spec, shards):
     """The one-forward-per-client evaluation, kept as the oracle."""
     per_client = {}
+    live = False
     for s in shards:
         if not len(s.test):
             continue
-        _, logits = forward(global_params, spec, s.test)
+        embeddings, logits = forward(global_params, spec, s.test)
+        live = live or bool((embeddings > 0.0).any())
         per_client[s.client_id] = float(np.mean(logits.argmax(axis=1) == s.test.labels))
     if not per_client:
         raise MeasurementError("no shard has a non-empty test slice")
+    if not live:
+        raise NumericalError("dead last hidden layer")
     return float(np.mean(list(per_client.values()))), per_client
 
 
@@ -180,10 +209,11 @@ class TestOnePassMatchesPerSliceOracle:
            slice_sizes=st.lists(st.sampled_from([0, 0, 1, 1, 2, 3, 7, 40]), min_size=1, max_size=12),
            zero_params=st.booleans())
     @settings(max_examples=80, deadline=None)
+    @example(seed=18, num_classes=2, slice_sizes=[1], zero_params=False)  # a dead random model
     def test_bitwise_equal(self, seed, num_classes, slice_sizes, zero_params):
         rng = np.random.default_rng(seed)
         spec = ModelSpec(5, (6, 4), num_classes)
-        params = (np.zeros(spec.num_params()) if zero_params
+        params = (zero_output_model(spec) if zero_params
                   else rng.normal(0.0, 1.0, spec.num_params()))
         shards = []
         for cid, n in enumerate(slice_sizes, start=1):
@@ -194,9 +224,15 @@ class TestOnePassMatchesPerSliceOracle:
             with pytest.raises(MeasurementError):
                 evaluation_plan(spec, shards)
             return
-        mean, per_client = evaluate_accuracy(params, spec, evaluation_plan(spec, shards))
-        expected_mean, expected = per_slice_accuracy(params, spec, shards)
-        assert list(per_client.items()) == list(expected.items())
+        plan = evaluation_plan(spec, shards)
+        try:
+            expected_mean, expected = per_slice_accuracy(params, spec, shards)
+        except NumericalError:  # no test row has a live embedding
+            with pytest.raises(NumericalError, match="last hidden layer is dead"):
+                evaluate_accuracy(params, spec, plan)
+            return
+        mean, accuracies = evaluate_accuracy(params, spec, plan)
+        assert list(zip(plan.client_ids, accuracies)) == list(expected.items())
         assert mean == expected_mean
 
 
@@ -228,6 +264,21 @@ class TestPlanPerRun:
         assert len(plans) == 1
 
 
+class TestAccuraciesPerRound:
+    def test_one_float64_buffer_per_report_over_one_shared_id_tuple(self):
+        # a dict of boxed floats took 55 bytes a client and round; the array takes 8
+        cfg = plan_config(rounds=3)
+        shards = simulation.build_shards(cfg)
+        tested = [s.client_id for s in shards if len(s.test)]
+        reports = simulation.run_simulation(cfg, shards=shards).reports
+        for report in reports:
+            buffer = memoryview(report.accuracies)
+            assert (buffer.format, buffer.itemsize, buffer.ndim) == ("d", 8, 1)
+            assert len(buffer) == len(tested)
+            assert report.client_ids is reports[0].client_ids
+        assert list(reports[0].client_ids) == tested
+
+
 class TestFairnessSummary:
     def test_all_local_models_equal_global(self):
         v = np.array([1.0, 2.0, 3.0])
@@ -253,7 +304,8 @@ class TestFairnessSummary:
 
 class TestRoundReport:
     def test_mean_contrastive_skips_sentinels(self):
-        report = RoundReport(round=1, mean_accuracy=0.5, per_client_accuracy={1: 0.5},
+        report = RoundReport(round=1, mean_accuracy=0.5,
+                             client_ids=(1,), accuracies=array("d", [0.5]),
                              d_cosine_mean=0.0, d_manhattan_mean=0.0,
                              contrastive_losses={1: 0.25, 2: None, 3: 0.75},
                              learning_rate=0.1, online=frozenset({1}))
@@ -261,7 +313,8 @@ class TestRoundReport:
         assert report.num_online == 1
 
     def test_mean_contrastive_nan_when_absent(self):
-        report = RoundReport(round=1, mean_accuracy=0.5, per_client_accuracy={1: 0.5},
+        report = RoundReport(round=1, mean_accuracy=0.5,
+                             client_ids=(1,), accuracies=array("d", [0.5]),
                              d_cosine_mean=0.0, d_manhattan_mean=0.0,
                              contrastive_losses={}, learning_rate=0.1,
                              online=frozenset({1}))
