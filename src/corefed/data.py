@@ -177,6 +177,9 @@ def split_test(dataset: Dataset, plan: PartitionPlan, test_fraction: float) -> l
     samples, floored at 1 when the class has at least 2 samples and capped
     so that train keeps at least 1. Client ids are 1-based; samples assigned
     outside 0..num_clients-1 belong to no shard.
+
+    All shards are views of one gathered array: the train slices in client
+    order, then the test slices in client order.
     """
     rng = substream(plan.seed, "split")
     m, num_classes, n = plan.num_clients, dataset.num_classes, len(dataset)
@@ -191,10 +194,11 @@ def split_test(dataset: Dataset, plan: PartitionPlan, test_fraction: float) -> l
         rng.shuffle(grouped[start : start + k])
     n_test = np.minimum(sizes - 1, np.maximum(1, np.round(sizes * test_fraction).astype(np.int64)))
     is_test = np.arange(len(grouped)) - np.repeat(starts, sizes) < np.repeat(n_test, sizes)
-    # each client's train run, then its test run, both in dataset order
-    runs = groups // num_classes * 2 + is_test
+    # run c holds client c's train rows, run m + c its test rows, each in
+    # dataset order; the test runs lie end to end for ``evaluation_plan``
+    runs = groups // num_classes + m * is_test
     ordered = np.sort(runs * n + grouped) % n
     inputs, labels = dataset.inputs[ordered], dataset.labels[ordered]
     bounds = [0] + np.cumsum(np.bincount(runs, minlength=2 * m)).tolist()
     parts = [Dataset(inputs[a:b], labels[a:b], num_classes) for a, b in zip(bounds, bounds[1:])]
-    return [Shard(client + 1, parts[2 * client], parts[2 * client + 1]) for client in range(m)]
+    return [Shard(client + 1, parts[client], parts[m + client]) for client in range(m)]

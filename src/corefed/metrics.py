@@ -45,16 +45,40 @@ class RoundReport:
 
 @dataclass(frozen=True)
 class EvaluationPlan:
-    """Every non-empty test slice of a run, concatenated once in shard order.
+    """Every non-empty test slice of a run, as one block in shard order.
 
     Slice ``i`` is ``data[starts[i] : starts[i] + sizes[i]]`` and belongs to
-    client ``client_ids[i]``.
+    client ``client_ids[i]``. For ``split_test`` shards the block is a view
+    of the array the slices already lie in; other shards are concatenated.
     """
 
     data: Dataset
     starts: np.ndarray
     sizes: np.ndarray
     client_ids: tuple[int, ...]
+
+
+def _address(array_: np.ndarray) -> int:
+    return array_.__array_interface__["data"][0]
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """The non-empty ``parts`` as one array along axis 0.
+
+    When each part is the row slice of one C-contiguous array that follows
+    the part before it, that is a slice of the array, with no copy;
+    otherwise a concatenated copy.
+    """
+    owner = parts[0].base
+    if isinstance(owner, np.ndarray) and owner.flags.c_contiguous and owner.ndim == parts[0].ndim:
+        start = end = (_address(parts[0]) - _address(owner)) // owner.strides[0]
+        for part in parts:
+            if part.__array_interface__ != owner[end : end + len(part)].__array_interface__:
+                break
+            end += len(part)
+        else:
+            return owner[start:end]
+    return np.concatenate(parts)
 
 
 def evaluation_plan(spec: ModelSpec, shards: list[Shard]) -> EvaluationPlan:
@@ -66,8 +90,8 @@ def evaluation_plan(spec: ModelSpec, shards: list[Shard]) -> EvaluationPlan:
     tested = [shard for shard in shards if len(shard.test)]
     if not tested:
         raise MeasurementError("no shard has a non-empty test slice")
-    data = Dataset(np.concatenate([shard.test.inputs for shard in tested]),
-                   np.concatenate([shard.test.labels for shard in tested]), spec.num_classes)
+    data = Dataset(_joined([shard.test.inputs for shard in tested]),
+                   _joined([shard.test.labels for shard in tested]), spec.num_classes)
     sizes = np.array([len(shard.test) for shard in tested])
     starts = np.cumsum(sizes) - sizes
     return EvaluationPlan(data, starts, sizes, tuple(shard.client_id for shard in tested))

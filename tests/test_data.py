@@ -317,6 +317,27 @@ def assert_same_shards(got, want):
             assert_same_array(part_g.labels, part_w.labels)
 
 
+def row_offset(part, owner):
+    address = part.__array_interface__["data"][0] - owner.__array_interface__["data"][0]
+    return address // (owner.nbytes // len(owner))
+
+
+def assert_one_block(shards):
+    """Every non-empty slice is a view of one array: the train slices in client
+    order, then the test slices in client order, end to end."""
+    parts = [s.train for s in shards] + [s.test for s in shards]
+    for arrays in ([p.inputs for p in parts], [p.labels for p in parts]):
+        owners = [a.base for a in arrays if len(a)]
+        if not owners:
+            continue
+        row = 0
+        for a in arrays:
+            if len(a):
+                assert a.base is owners[0] and row_offset(a, owners[0]) == row
+            row += len(a)
+        assert row == len(owners[0])
+
+
 @st.composite
 def setups(draw):
     num_classes = draw(st.integers(1, 6))
@@ -347,8 +368,9 @@ class TestSetupMatchesOracle:
             return
         plan = dirichlet_partition(ds, *part)
         assert_same_array(plan.assignment, want_plan.assignment)
-        assert_same_shards(split_test(ds, plan, setup["test_fraction"]),
-                           oracle_split_test(ds, want_plan, setup["test_fraction"]))
+        shards = split_test(ds, plan, setup["test_fraction"])
+        assert_same_shards(shards, oracle_split_test(ds, want_plan, setup["test_fraction"]))
+        assert_one_block(shards)
 
     @given(st.integers(1, 60), st.integers(1, 8), st.integers(1, 4), st.floats(0.01, 0.99),
            st.integers(0, 2**32 - 1))
@@ -361,5 +383,14 @@ class TestSetupMatchesOracle:
         plan = PartitionPlan(num_clients=m, seed=seed, assignment=assignment)
         shards = split_test(ds, plan, test_fraction)
         assert_same_shards(shards, oracle_split_test(ds, plan, test_fraction))
+        assert_one_block(shards)
         owned = int(((assignment >= 0) & (assignment < m)).sum())
         assert sum(len(s.train) + len(s.test) for s in shards) == owned
+
+    def test_test_slices_lie_end_to_end_past_an_empty_one(self):
+        # client 2 holds one sample, so its test slice is empty
+        ds = Dataset(np.arange(24.0).reshape(12, 2), np.array([0, 1] * 6), 2)
+        plan = PartitionPlan(num_clients=3, seed=4, assignment=np.array([0] * 6 + [1] + [2] * 5))
+        shards = split_test(ds, plan, 0.4)
+        assert [len(s.test) for s in shards] == [2, 0, 2]
+        assert_one_block(shards)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from array import array
 
 import numpy as np
@@ -262,6 +263,55 @@ class TestPlanPerRun:
         monkeypatch.setattr(simulation, "evaluation_plan", counted)
         assert len(simulation.run_simulation(plan_config(rounds=3)).reports) == 3
         assert len(plans) == 1
+
+
+def crowd_like_shards():
+    """``build_shards`` output shaped like the crowd benchmark, at 60 clients."""
+    cfg = ExperimentConfig(clients=60, online_per_round=5, seed=3, dirichlet_alpha=0.5,
+                           dataset=SyntheticSource(num_classes=10, input_dim=32, n=6000))
+    return cfg.model, simulation.build_shards(cfg)
+
+
+def assert_plan_concatenates(plan, shards):
+    tested = [s for s in shards if len(s.test)]
+    assert plan.client_ids == tuple(s.client_id for s in tested)
+    for got, parts in ((plan.data.inputs, [s.test.inputs for s in tested]),
+                       (plan.data.labels, [s.test.labels for s in tested])):
+        want = np.concatenate(parts)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def assert_plan_is_a_copy(plan, shards):
+    assert_plan_concatenates(plan, shards)
+    for s in shards:
+        assert not np.shares_memory(plan.data.inputs, s.test.inputs)
+
+
+class TestPlanLayout:
+    def test_build_shards_plan_is_a_view_of_the_test_rows(self):
+        spec, shards = crowd_like_shards()
+        first = next(s for s in shards if len(s.test))
+        tracemalloc.start()
+        try:
+            plan = evaluation_plan(spec, shards)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(plan.data.inputs, first.test.inputs)
+        assert np.shares_memory(plan.data.labels, first.test.labels)
+        # a copy would allocate the test inputs and labels; labels are the smaller
+        assert peak - plan.sizes.nbytes - plan.starts.nbytes < plan.data.labels.nbytes
+        assert_plan_concatenates(plan, shards)
+
+    def test_descending_ids_are_copied_value_for_value(self):
+        spec, shards = crowd_like_shards()
+        assert_plan_is_a_copy(evaluation_plan(spec, shards[::-1]), shards[::-1])
+
+    def test_slices_with_gaps_are_copied_value_for_value(self):
+        spec, shards = crowd_like_shards()
+        every_other = [s for s in shards if len(s.test)][::2]
+        assert_plan_is_a_copy(evaluation_plan(spec, every_other), every_other)
 
 
 class TestAccuraciesPerRound:
