@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -29,18 +30,26 @@ class ParticipationLedger:
     Rounds are recorded in ascending order, each after ``last_round``, and
     client ids start at 1, as shards are numbered. ``cache`` stores a
     client's gradient and similarity together, so a cached client has both.
-    Mutated only during the serial aggregation phase of each round. Cached
-    gradients are stored read-only, so ``gradient_digests`` (the sha256 of a
-    gradient's checkpoint record, filled by ``checkpoint.save_ledger``) stays
-    valid until ``cache`` replaces that gradient.
+    Mutated only during the serial aggregation phase of each round and by
+    ``release`` between rounds. Cached gradients are stored read-only, so a
+    gradient's checkpoint record stays what it was until ``cache`` replaces
+    that gradient.
+
+    ``checkpoint.save_ledger`` notes where it wrote each record: the file in
+    ``gradient_file`` and, per client in ``gradient_records``, the record's
+    sha256, byte offset and value count. A gradient that ``release`` takes
+    out of ``last_gradient`` after it was written lives on only there, and
+    the next save copies its record from that file. The cached clients are
+    those in ``last_gradient`` or ``gradient_records``.
     """
 
     def __init__(self):
         self.client_rounds: dict[int, list[int]] = {}  # client -> ascending rounds it took part in
         self.last_round = 0
         self.last_gradient: dict[int, np.ndarray] = {}
-        self.gradient_digests: dict[int, str] = {}
         self.last_similarity: dict[int, float] = {}
+        self.gradient_file: Path | None = None
+        self.gradient_records: dict[int, tuple[str, int, int]] = {}
 
     def record_round(self, t: int, online) -> None:
         if t <= self.last_round:
@@ -56,8 +65,21 @@ class ParticipationLedger:
         cached = np.array(gradient, dtype=np.float64, copy=True)
         cached.flags.writeable = False
         self.last_gradient[client] = cached
-        self.gradient_digests.pop(client, None)
+        self.gradient_records.pop(client, None)
         self.last_similarity[client] = float(similarity)
+
+    def release(self, horizon: int, keep_unsaved: bool) -> None:
+        """Take out of memory the gradient of every client that last trained at round ``horizon``
+        or before.
+
+        A released gradient that ``save_ledger`` wrote stays cached through
+        its record in ``gradient_file``. One it has not written is kept when
+        ``keep_unsaved`` is set, and is otherwise dropped for good, so a later
+        save would no longer list it.
+        """
+        for cid in [cid for cid in self.last_gradient if self.client_rounds[cid][-1] <= horizon
+                    and (cid in self.gradient_records or not keep_unsaved)]:
+            del self.last_gradient[cid]
 
 
 @dataclass(frozen=True)
@@ -73,6 +95,15 @@ class WeightAssignment:
 def window_length(ledger: ParticipationLedger, num_online: int) -> int:
     """Dynamic window tau = ceil(M / num_online), floored at 1, over the M clients seen so far."""
     return max(1, -(-len(ledger.client_rounds) // num_online))
+
+
+def window_bound(clients: int, num_online: int) -> int:
+    """The widest window a run reaches, ceil(clients / num_online): M never exceeds ``clients``.
+
+    So a gradient whose client last trained at round ``t - window_bound``
+    or before is reused in no round after t, unless ``cache`` replaces it.
+    """
+    return -(-clients // num_online)
 
 
 def participation_frequency(ledger: ParticipationLedger, client: int, t: int, tau: int) -> float:

@@ -6,7 +6,9 @@ cache; the JSON records a sha256 digest per cached gradient so corruption is
 detected on load.
 
 Every file is written through ``atomic_write``: a crash leaves either the old
-file or the complete new one, never a torn one.
+file or the complete new one, never a torn one. A cached gradient that the
+ledger no longer holds in memory is copied, record for record, from the
+``gradients.bin`` that the previous save wrote.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import math
 import os
 import struct
 from collections.abc import Iterable
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,31 +29,75 @@ from .errors import FormatError, InvariantError, TruncatedFileError
 
 LEDGER_SCHEMA_VERSION = 1
 _IOV_MAX = os.sysconf("SC_IOV_MAX")
+_PREAD_BLOCK = 1 << 16  # below malloc's mmap threshold, so each block reuses heap memory
+
+
+@dataclass(frozen=True)
+class FileRange:
+    """A chunk for ``atomic_write``: ``length`` bytes of the file at ``path`` from ``offset``."""
+
+    path: Path
+    offset: int
+    length: int
+
+
+def _write_views(fd: int, views: list[memoryview]) -> None:
+    """Write ``views`` in order, ``SC_IOV_MAX`` per ``os.writev``; a short write resumes."""
+    done = 0
+    while done < len(views):
+        written = os.writev(fd, views[done:done + _IOV_MAX])
+        while done < len(views) and written >= len(views[done]):
+            written -= len(views[done])
+            done += 1
+        if written:
+            views[done] = views[done][written:]
+
+
+def _copy_range(fd: int, chunk: FileRange) -> None:
+    """Append ``chunk``'s bytes at ``fd``'s position, read with ``os.pread``, at most
+    ``_PREAD_BLOCK`` bytes at a time.
+
+    A source that ends before the range does raises TruncatedFileError
+    naming it; a missing one raises FileNotFoundError naming it.
+    """
+    source = os.open(chunk.path, os.O_RDONLY)
+    try:
+        offset, end = chunk.offset, chunk.offset + chunk.length
+        while offset < end:
+            block = os.pread(source, min(end - offset, _PREAD_BLOCK), offset)
+            if not block:
+                raise TruncatedFileError(f"{chunk.path}: ends at byte {offset}, "
+                                         f"a cached gradient's record runs to byte {end}")
+            _write_views(fd, [memoryview(block)])
+            offset += len(block)
+    finally:
+        os.close(source)
 
 
 def atomic_write(path, chunks: Iterable) -> None:
-    """Write the bytes-like ``chunks`` to ``<path>.tmp``, then rename it to ``path``.
+    """Write ``chunks`` to ``<path>.tmp``, then rename it to ``path``.
 
-    The chunks go to the kernel uncopied, ``SC_IOV_MAX`` buffers per
-    ``os.writev`` call, and a short write resumes where it stopped. If
-    anything fails before the rename, the temp file is unlinked and the error
-    propagates. There is no fsync: the rename orders the file's replacement,
-    not its durability across a power loss.
+    A chunk is bytes-like or a ``FileRange``. Bytes-like chunks go to the
+    kernel uncopied, ``SC_IOV_MAX`` buffers per ``os.writev`` call, and a
+    short write resumes where it stopped. A ``FileRange`` is copied from its
+    file by ``_copy_range``. If anything fails before the rename, the temp
+    file is unlinked and the error propagates. There is no fsync: the rename
+    orders the file's replacement, not its durability across a power loss.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
         try:
-            views = [memoryview(chunk).cast("B") for chunk in chunks]
-            done = 0
-            while done < len(views):
-                written = os.writev(fd, views[done:done + _IOV_MAX])
-                while done < len(views) and written >= len(views[done]):
-                    written -= len(views[done])
-                    done += 1
-                if written:
-                    views[done] = views[done][written:]
+            views = []
+            for chunk in chunks:
+                if isinstance(chunk, FileRange):
+                    _write_views(fd, views)
+                    views = []
+                    _copy_range(fd, chunk)
+                else:
+                    views.append(memoryview(chunk).cast("B"))
+            _write_views(fd, views)
         finally:
             os.close(fd)
         os.replace(tmp, path)
@@ -100,14 +147,17 @@ def _json_float(x: float) -> str:
     return float.__repr__(x)
 
 
-def _ledger_files(ledger: ParticipationLedger) -> tuple[bytes, list]:
-    """The ``ledger.json`` bytes and the ``gradients.bin`` chunks that describe ``ledger``.
+def _ledger_files(ledger: ParticipationLedger) -> tuple[bytes, list, dict]:
+    """The ``ledger.json`` bytes and the ``gradients.bin`` chunks that describe ``ledger``,
+    and where in ``gradients.bin`` each client's record lands.
 
     The manifest's ``history`` (round -> members) and ``last_participation``
     are derived from ``ledger.client_rounds``. Only gradients cached since
-    their digest was last filled are hashed; the rest reuse their digest from
-    ``ledger.gradient_digests``. The text is built directly, byte for byte
-    what ``json.dumps(document, indent=2) + "\n"`` gives for the document.
+    the last save are hashed; the rest reuse their digest from
+    ``ledger.gradient_records``. A gradient released from memory becomes a
+    ``FileRange`` of its record in ``ledger.gradient_file``, one range per
+    run of adjacent records. The text is built directly, byte for byte what
+    ``json.dumps(document, indent=2) + "\n"`` gives for the document.
     """
     clients = sorted(ledger.client_rounds.items())
     history: dict[int, list[str]] = {}
@@ -116,16 +166,31 @@ def _ledger_files(ledger: ParticipationLedger) -> tuple[bytes, list]:
             history.setdefault(r, []).append(str(cid))
     entries = []
     chunks = []
-    for cid in sorted(ledger.last_gradient):
-        prefix, values = _vector_chunks(ledger.last_gradient[cid])
-        digest = ledger.gradient_digests.get(cid)
-        if digest is None:
-            sha = hashlib.sha256(prefix)
-            sha.update(values)
-            digest = ledger.gradient_digests[cid] = sha.hexdigest()
-        entries.append(_json_container("{}", [f'"client": {cid}', f'"length": {len(values)}',
+    records = {}
+    offset = 0
+    for cid in sorted(ledger.last_gradient.keys() | ledger.gradient_records.keys()):
+        saved = ledger.gradient_records.get(cid)
+        if cid in ledger.last_gradient:
+            prefix, values = _vector_chunks(ledger.last_gradient[cid])
+            length = len(values)
+            if saved is None:
+                sha = hashlib.sha256(prefix)
+                sha.update(values)
+                digest = sha.hexdigest()
+            else:
+                digest = saved[0]
+            chunks += (prefix, values)
+        else:
+            digest, start, length = saved
+            last = chunks[-1] if chunks else None
+            if isinstance(last, FileRange) and last.offset + last.length == start:
+                chunks[-1] = FileRange(last.path, last.offset, last.length + 8 + 8 * length)
+            else:
+                chunks.append(FileRange(ledger.gradient_file, start, 8 + 8 * length))
+        entries.append(_json_container("{}", [f'"client": {cid}', f'"length": {length}',
                                               f'"sha256": "{digest}"'], 2))
-        chunks += (prefix, values)
+        records[cid] = (digest, offset, length)
+        offset += 8 + 8 * length
     sections = [
         f'"schema_version": {LEDGER_SCHEMA_VERSION}',
         '"history": ' + _json_container(
@@ -137,13 +202,19 @@ def _ledger_files(ledger: ParticipationLedger) -> tuple[bytes, list]:
             1),
         '"gradient_cache": ' + _json_container("[]", entries, 1),
     ]
-    return (_json_container("{}", sections, 0) + "\n").encode("utf-8"), chunks
+    return (_json_container("{}", sections, 0) + "\n").encode("utf-8"), chunks, records
 
 
 def save_ledger(ledger: ParticipationLedger, json_path, gradients_path) -> None:
-    """Write the ledger's JSON manifest and its gradient cache."""
-    manifest, chunks = _ledger_files(ledger)
+    """Write the ledger's JSON manifest and its gradient cache.
+
+    Once ``gradients.bin`` is in place, the ledger's record locations move
+    to it, so a gradient released from memory after this save is copied
+    from this file by the next.
+    """
+    manifest, chunks, records = _ledger_files(ledger)
     atomic_write(gradients_path, chunks)
+    ledger.gradient_file, ledger.gradient_records = Path(gradients_path), records
     atomic_write(json_path, [manifest])
 
 
@@ -155,6 +226,8 @@ def load_ledger(json_path, gradients_path) -> ParticipationLedger:
     manifest raises FormatError naming the file. ``gradients.bin`` must hold
     the records the manifest lists, each with its digest, and nothing more; a
     record longer than the rest of the file raises TruncatedFileError unread.
+    The ledger's ``gradient_file`` and ``gradient_records`` point into
+    ``gradients_path``, as they do after the save that wrote it.
     """
     manifest = Path(json_path).read_bytes()
     try:
@@ -178,7 +251,8 @@ def load_ledger(json_path, gradients_path) -> ParticipationLedger:
         size = os.fstat(fh.fileno()).st_size
         for cid, length, digest in cache:
             nbytes = 8 + length * 8
-            packed = fh.read(nbytes) if nbytes <= size - fh.tell() else b""
+            offset = fh.tell()
+            packed = fh.read(nbytes) if nbytes <= size - offset else b""
             if len(packed) != nbytes:
                 raise TruncatedFileError(f"{gradients_path}: gradient cache shorter than manifest")
             if hashlib.sha256(packed).hexdigest() != digest:
@@ -187,9 +261,10 @@ def load_ledger(json_path, gradients_path) -> ParticipationLedger:
                 raise FormatError(f"{gradients_path}: length prefix disagrees with manifest")
             if cid in ledger.client_rounds and cid in similarities:
                 ledger.cache(cid, np.frombuffer(packed, dtype="<f8", offset=8), similarities[cid])
-                ledger.gradient_digests[cid] = digest
+                ledger.gradient_records[cid] = (digest, offset, length)
         if fh.read(1):
             raise FormatError(f"{gradients_path}: trailing bytes after gradient cache")
+    ledger.gradient_file = Path(gradients_path)
     if _ledger_files(ledger)[0] != manifest:
         raise FormatError(f"{json_path}: not the bytes save_ledger writes for the ledger it describes")
     return ledger

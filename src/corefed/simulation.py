@@ -19,6 +19,7 @@ from .aggregation import (
     assemble_round,
     fedavg_aggregate,
     pseudo_gradient,
+    window_bound,
 )
 from .checkpoint import save_ledger, write_vector
 from .config import ALGORITHMS, ExperimentConfig, SyntheticSource, lr_schedule
@@ -182,6 +183,10 @@ def run_simulation(config: ExperimentConfig, shards: list[Shard] | None = None,
     shards are checked once against the model here, so nothing further in
     needs to check them. The evaluation plan is built once, before the
     first round trains.
+
+    After each round the ledger releases every cached gradient that no
+    later round can reuse (``window_bound``). When checkpoints are written,
+    one that no checkpoint holds yet stays in memory until the next does.
     """
     if shards is None:
         shards = build_shards(config)
@@ -192,12 +197,14 @@ def run_simulation(config: ExperimentConfig, shards: list[Shard] | None = None,
     plan = evaluation_plan(config.model, shards)
     state = RunState(0, initial_params(config), ParticipationLedger(), config.seed)
     reports: list[RoundReport] = []
+    checkpointing = checkpoint_dir is not None and config.checkpoint_interval > 0
+    reach = window_bound(config.clients, config.resolved_online())
     for _ in range(config.rounds):
         state, report = run_round(state, config, shards, plan)
         reports.append(report)
-        if (checkpoint_dir is not None and config.checkpoint_interval > 0
-                and state.round % config.checkpoint_interval == 0):
+        if checkpointing and state.round % config.checkpoint_interval == 0:
             _write_checkpoint(Path(checkpoint_dir), state)
+        state.ledger.release(state.round - reach, keep_unsaved=checkpointing)
     return SimulationResult(reports=reports, final_params=state.params)
 
 

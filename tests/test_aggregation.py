@@ -17,6 +17,7 @@ from corefed.aggregation import (
     participation_frequency,
     pseudo_gradient,
     reuse_gradient,
+    window_bound,
     window_length,
 )
 from corefed.checkpoint import load_ledger, save_ledger
@@ -86,6 +87,53 @@ class TestLedger:
         with pytest.raises(ValueError, match="read-only"):
             ledger.last_gradient[1] += 1.0
         assert ledger.last_gradient[1].tolist() == [1.0, 2.0]
+
+
+class TestRelease:
+    def saved_ledger(self, tmp_path):
+        """Clients 1-3 cached by round 3 and saved; client 4 cached after the save."""
+        ledger = ledger_with_history([{1, 2}, {2}, {3}, {4}])
+        for cid in (1, 2, 3):
+            ledger.cache(cid, np.array([float(cid)]), 0.0)
+        save_ledger(ledger, tmp_path / "ledger.json", tmp_path / "gradients.bin")
+        ledger.cache(4, np.array([4.0]), 0.0)
+        return ledger
+
+    def test_saved_gradients_leave_memory_but_stay_cached(self, tmp_path):
+        ledger = self.saved_ledger(tmp_path)
+        ledger.release(2, keep_unsaved=True)
+        assert sorted(ledger.last_gradient) == [3, 4]
+        assert ledger.gradient_file == tmp_path / "gradients.bin"
+        assert sorted(ledger.gradient_records) == [1, 2, 3]
+        assert ledger.gradient_records[2][1:] == (16, 1)  # the second 16-byte record
+
+    def test_unsaved_gradients_stay_unless_no_save_needs_them(self, tmp_path):
+        ledger = self.saved_ledger(tmp_path)
+        ledger.release(4, keep_unsaved=True)
+        assert sorted(ledger.last_gradient) == [4]
+        ledger.release(4, keep_unsaved=False)
+        assert ledger.last_gradient == {}
+
+    def test_caching_again_forgets_the_saved_record(self, tmp_path):
+        ledger = self.saved_ledger(tmp_path)
+        ledger.release(2, keep_unsaved=True)
+        ledger.record_round(5, {1})
+        ledger.cache(1, np.array([9.0]), 0.5)
+        assert sorted(ledger.gradient_records) == [2, 3]
+        save_ledger(ledger, tmp_path / "next.json", tmp_path / "next.bin")
+        restored = load_ledger(tmp_path / "next.json", tmp_path / "next.bin")
+        assert {cid: g.tolist() for cid, g in restored.last_gradient.items()} == {
+            1: [9.0], 2: [2.0], 3: [3.0], 4: [4.0]}
+        assert restored.gradient_file == ledger.gradient_file == tmp_path / "next.bin"
+        assert restored.gradient_records == ledger.gradient_records
+        assert sorted(ledger.gradient_records) == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("clients, online, bound", [(300, 5, 60), (12, 2, 6), (10, 4, 3),
+                                                         (7, 7, 1)])
+    def test_window_bound_is_the_widest_window(self, clients, online, bound):
+        assert window_bound(clients, online) == bound
+        everyone = ledger_with_history([set(range(1, clients + 1))])
+        assert window_length(everyone, online) == bound
 
 
 class TestWindowLength:

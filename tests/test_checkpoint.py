@@ -6,6 +6,7 @@ import os
 import re
 import struct
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +15,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corefed import checkpoint, simulation
-from corefed.aggregation import ParticipationLedger
-from corefed.checkpoint import atomic_write, load_ledger, read_vector, save_ledger, write_vector
-from corefed.config import ExperimentConfig, SyntheticSource
+from corefed.aggregation import ParticipationLedger, window_bound
+from corefed.checkpoint import (
+    FileRange,
+    atomic_write,
+    load_ledger,
+    read_vector,
+    save_ledger,
+    write_vector,
+)
+from corefed.cli import main
+from corefed.config import ExperimentConfig, SyntheticSource, dumps_config
 from corefed.errors import FormatError, TruncatedFileError
 from corefed.simulation import run_simulation
 
@@ -469,3 +478,248 @@ class TestWideWindowBytes:
             ledger = load_ledger(tmp_path / f"round_{t}" / "ledger.json",
                                  tmp_path / f"round_{t}" / "gradients.bin")
             assert ledger.last_round == t
+
+
+# sha256 of every checkpoint of a 12-client, 2-online corefed run. A gradient
+# whose client last trained window_bound = 6 or more rounds ago leaves memory
+# after the save that holds it, and every later save copies its record from
+# the save before. Recorded while every save still wrote every gradient from
+# memory.
+RELEASE_CONFIG = ExperimentConfig(
+    algorithm="corefed", rounds=40, clients=12, online_per_round=2, batch_size=20, seed=5,
+    checkpoint_interval=4, dataset=SyntheticSource(num_classes=4, input_dim=16, n=960))
+RELEASE_SHA256 = {
+    "round_4/global.bin": "c1c1991f1588aac63bed80de1396de94aa1416334559e6632afb7a3e71644685",
+    "round_4/gradients.bin": "b5e20ac2d0ce3f622752f2655dc3780fb8afb7c3158fd44d15434fe64dc372e2",
+    "round_4/ledger.json": "9ca859315dac3280e475d10bf73fadb4468c5d79e734c1d26b3f47ecd1927694",
+    "round_8/global.bin": "5c9f83d9d8f8f65405693c0ae7c3589faeef1699306d805911bc93584562e565",
+    "round_8/gradients.bin": "f5cf48750daea6d9c42f3c5e895cfd7f93de2c265153ee3df64460cd7ee2fa0d",
+    "round_8/ledger.json": "ed4f07afe1d79daa8eff7fa63d559f5cd4012b3530a4ae2f2762072a38291a9e",
+    "round_12/global.bin": "5dc40347231e285ab3b8d73adbb592406dcee6bb7688766c1e73a07ea229c799",
+    "round_12/gradients.bin": "5f08e15222b09857533c0e56d725f9b37973f1fa146a7c4e75f1296370f95a8f",
+    "round_12/ledger.json": "460217ff2579c2252fe393be450b5d58cb995466ab24bc3f872783ea38f43567",
+    "round_16/global.bin": "f81f88deea47dc01a6c3c56cb491b5fa49d48c9b3217206446377db0d9ed204d",
+    "round_16/gradients.bin": "85f6d0a7bfb5105fe2530c64287bf67d61a32c112d8f841433de55dca490289d",
+    "round_16/ledger.json": "a5afb9eb34a7a65498fc8b83854ae0dae2665ebdb95352b6cfdadb4b1de33acc",
+    "round_20/global.bin": "f5ff6dee65e8f9c87d311be4ef56865497ee21a45e49f88fefbff23336c23d9a",
+    "round_20/gradients.bin": "f56e224f42356da7fc1bc78a70af1ded87776541b448daf5725b181e1e920dcf",
+    "round_20/ledger.json": "b9c963167ef3b0dad7c17605002b23f959775579f2e7802a416dc720f3b765ce",
+    "round_24/global.bin": "f06198d24bb47a5c4ec3a9eaa930a445dcd201fe7ef1b0c1cff20b8b41eb68d8",
+    "round_24/gradients.bin": "7f4e9efd19f515d4e0c2e2d06bf2d9b86403cdd3dea255d658c3377f0b684ea1",
+    "round_24/ledger.json": "0f0b78c8643c96dc5a837a5fb2930a942e9c202fa72c67b92487dc7841dcc7fd",
+    "round_28/global.bin": "b13b5bec22f0cc8719c72f9f7eeb2e8791c121b126149866aafa3ff845ecf9a4",
+    "round_28/gradients.bin": "f2861928e110bc1ee48b5fadd413e271e1a93d84151135a1a878bd180aaf969f",
+    "round_28/ledger.json": "97d0695a49fa0def57a71ad63d49eb6f053a1914637129da7e43449d08887774",
+    "round_32/global.bin": "a245a93268d323fac413dd3fc7f414b8795786e08f06d273c6c5ad7bd70d468a",
+    "round_32/gradients.bin": "f7e4be19967d9bc9cafea05baffa658ecb31b43777ef605421358d3b8558e7dc",
+    "round_32/ledger.json": "5adbd1e6516e20821f535fedab2e68c4aad839a0c138bc9c9e7df5210b60fdd1",
+    "round_36/global.bin": "025c4e937a7860345efed395a932f05697b33465eb8ef4e39d6803a92761d87b",
+    "round_36/gradients.bin": "98092ee8df4751703c33a10ba9e9d1d51d2015f7722843e738bbf4e490079b93",
+    "round_36/ledger.json": "637de14d0c3214f80c5d4a5794f05ffbee7ddcf18d8dec2cfb2c8031bc80d9bd",
+    "round_40/global.bin": "d8826b5e2b7b15987937e13698fbf4877b8cbd8e002ea7aa00b60062002642c7",
+    "round_40/gradients.bin": "bd10769cbb5d5b6c874d0128a2ea57ada8b4c431e573bdc4c09143ac4ec55cea",
+    "round_40/ledger.json": "57aea2e281dfbeac1eb3b72b0340152ff5727fba13cda659b7e4fb668bdee4ed",
+}
+
+
+def released(ledger):
+    """The clients whose cached gradient the ledger holds only as a record on disk."""
+    return ledger.gradient_records.keys() - ledger.last_gradient.keys()
+
+
+def watch_saves(monkeypatch, before=lambda ledger: None):
+    """Call ``before(ledger)`` ahead of each checkpoint's ``save_ledger``; returns the
+    number of released records each save found."""
+    found = []
+
+    def save(ledger, json_path, gradients_path):
+        found.append(len(released(ledger)))
+        before(ledger)
+        save_ledger(ledger, json_path, gradients_path)
+
+    monkeypatch.setattr(simulation, "save_ledger", save)
+    return found
+
+
+def run_files(root):
+    return sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
+
+
+class TestReleasedGradientBytes:
+    def assert_pinned(self, root, byte_scope):
+        assert run_files(root) == sorted(RELEASE_SHA256)
+        for name, digest in RELEASE_SHA256.items():
+            assert hashlib.sha256((root / name).read_bytes()).hexdigest() == digest, \
+                f"{name}: {byte_scope}"
+
+    def test_checkpoints_that_copy_released_records_are_pinned(self, tmp_path, monkeypatch,
+                                                              byte_scope):
+        found = watch_saves(monkeypatch)
+        run_simulation(RELEASE_CONFIG, checkpoint_dir=tmp_path)
+        assert len(found) == 10 and found[0] == 0 and sum(found) > 0, found
+        self.assert_pinned(tmp_path, byte_scope)
+        for t in range(4, 41, 4):
+            round_dir = tmp_path / f"round_{t}"
+            ledger = load_ledger(round_dir / "ledger.json", round_dir / "gradients.bin")
+            assert ledger.last_round == t
+            save_ledger(ledger, tmp_path / "ledger.json", tmp_path / "gradients.bin")
+            for name in ("ledger.json", "gradients.bin"):
+                assert (tmp_path / name).read_bytes() == (round_dir / name).read_bytes(), t
+
+    def test_blocks_smaller_than_a_record_give_the_same_bytes(self, tmp_path, monkeypatch,
+                                                              byte_scope):
+        reads = []
+        pread = os.pread
+
+        def counted_pread(fd, n, offset):
+            reads.append(n)
+            return pread(fd, n, offset)
+        monkeypatch.setattr(os, "pread", counted_pread)
+        monkeypatch.setattr(checkpoint, "_PREAD_BLOCK", 4096)  # below one 44 KB record
+        run_simulation(RELEASE_CONFIG, checkpoint_dir=tmp_path)
+        assert reads and max(reads) == 4096
+        self.assert_pinned(tmp_path, byte_scope)
+
+    @pytest.mark.parametrize("interval", [2, 6])
+    def test_releasing_changes_no_checkpoint_byte(self, tmp_path, monkeypatch, interval):
+        # window_bound is 3. At interval 6 some gradients leave the window
+        # before any save holds them, and stay in memory until one does.
+        config = replace(RELEASE_CONFIG, clients=12, online_per_round=4, rounds=24,
+                         checkpoint_interval=interval)
+        unsaved_dead = []
+
+        def note_unsaved_dead(ledger):
+            unsaved = ledger.last_gradient.keys() - ledger.gradient_records.keys()
+            unsaved_dead.extend(cid for cid in unsaved
+                                if ledger.last_round - ledger.client_rounds[cid][-1] > 3)
+        found = watch_saves(monkeypatch, note_unsaved_dead)
+        run_simulation(config, checkpoint_dir=tmp_path / "released")
+        assert sum(found) > 0 and bool(unsaved_dead) == (interval > 3)
+        monkeypatch.setattr(ParticipationLedger, "release", lambda *args, **kwargs: None)
+        run_simulation(config, checkpoint_dir=tmp_path / "kept")
+        names = run_files(tmp_path / "released")
+        assert names == run_files(tmp_path / "kept") and len(names) == 3 * (24 // interval)
+        for name in names:
+            assert (tmp_path / "released" / name).read_bytes() == \
+                (tmp_path / "kept" / name).read_bytes(), name
+
+
+class TestReleaseBound:
+    """No round reuses a gradient older than window_bound, so no run keeps one in memory."""
+
+    @pytest.mark.parametrize("checkpoints", [True, False])
+    def test_memory_holds_only_gradients_inside_the_widest_window(self, tmp_path, monkeypatch,
+                                                                 checkpoints):
+        ledgers = []
+        monkeypatch.setattr(simulation, "ParticipationLedger",
+                            lambda: ledgers.append(ParticipationLedger()) or ledgers[-1])
+        run_simulation(RELEASE_CONFIG, checkpoint_dir=tmp_path if checkpoints else None)
+        (ledger,) = ledgers
+        reach = window_bound(RELEASE_CONFIG.clients, RELEASE_CONFIG.resolved_online())
+        ages = {cid: ledger.last_round - rounds[-1] for cid, rounds in ledger.client_rounds.items()}
+        assert max(ages.values()) > reach
+        assert sorted(ledger.last_gradient) == sorted(c for c, age in ages.items() if age < reach)
+        if checkpoints:
+            assert ledger.gradient_records.keys() == ledger.client_rounds.keys()
+        else:
+            assert ledger.gradient_file is None and ledger.gradient_records == {}
+
+
+def copied_record_start(ledger):
+    """The offset of the first released record in the ledger's ``gradients.bin``."""
+    return min(ledger.gradient_records[cid][1] for cid in released(ledger))
+
+
+def delete_source(ledger):
+    ledger.gradient_file.unlink()
+
+
+def truncate_source(ledger):
+    os.truncate(ledger.gradient_file, copied_record_start(ledger) + 8)
+
+
+def damage_first_copy_source(monkeypatch, damage):
+    """Apply ``damage`` to the file that the first save copying released records
+    copies them from; returns a list that then holds that file's path."""
+    damaged = []
+
+    def damage_once(ledger):
+        if released(ledger) and not damaged:
+            damaged.append(ledger.gradient_file)
+            damage(ledger)
+
+    watch_saves(monkeypatch, damage_once)
+    return damaged
+
+
+class TestCopyFailures:
+    def test_disk_full_during_a_copy_leaves_no_torn_or_stray_file(self, tmp_path, monkeypatch):
+        clean, torn = tmp_path / "clean", tmp_path / "torn"
+        run_simulation(RELEASE_CONFIG, checkpoint_dir=clean)
+
+        reads = []
+        pread = os.pread
+
+        def counted_pread(fd, n, offset):
+            reads.append(n)
+            return pread(fd, n, offset)
+        monkeypatch.setattr(os, "pread", counted_pread)
+        disk = DiskFull(lambda fd: bool(reads))  # full from the first copied block on
+        monkeypatch.setattr(os, "writev", disk)
+        with pytest.raises(OSError, match="No space left"):
+            run_simulation(RELEASE_CONFIG, checkpoint_dir=torn)
+        assert disk.calls == 2 and len(reads) == 1
+
+        (failed,) = [d.name for d in torn.iterdir() if not (d / "gradients.bin").exists()]
+        t = int(failed.removeprefix("round_"))
+        assert t > RELEASE_CONFIG.checkpoint_interval
+        written = run_files(torn)
+        earlier = [name for name in run_files(clean)
+                   if int(name.split("/")[0].removeprefix("round_")) < t]
+        assert written == sorted(earlier + [f"{failed}/global.bin"])
+        for name in written:
+            assert (torn / name).read_bytes() == (clean / name).read_bytes(), name
+
+    @pytest.mark.parametrize("damage, error", [(delete_source, FileNotFoundError),
+                                               (truncate_source, TruncatedFileError)],
+                             ids=["deleted", "truncated"])
+    def test_a_damaged_earlier_checkpoint_is_named(self, tmp_path, monkeypatch, damage, error):
+        damaged = damage_first_copy_source(monkeypatch, damage)
+        with pytest.raises(error) as raised:
+            run_simulation(RELEASE_CONFIG, checkpoint_dir=tmp_path)
+        assert str(damaged[0]) in str(raised.value)
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_run_exits_1_and_leaves_no_run_directory(self, tmp_path, monkeypatch, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(dumps_config(RELEASE_CONFIG), encoding="utf-8")
+        damaged = damage_first_copy_source(monkeypatch, truncate_source)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out), "--run-id", "r"]) == 1
+        assert damaged and damaged[0].name == "gradients.bin"
+        assert str(damaged[0]) in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
+class TestFileRanges:
+    @pytest.mark.parametrize("block", [7, checkpoint._PREAD_BLOCK])
+    def test_ranges_and_buffers_land_in_order(self, tmp_path, monkeypatch, block):
+        source, other = tmp_path / "source.bin", tmp_path / "other.bin"
+        source.write_bytes(bytes(range(256)) * 4)
+        other.write_bytes(b"0123456789")
+        monkeypatch.setattr(checkpoint, "_PREAD_BLOCK", block)
+        atomic_write(tmp_path / "out.bin", [b"ab", FileRange(source, 3, 10), b"cd",
+                                            FileRange(other, 2, 5), FileRange(source, 1000, 24),
+                                            np.array([1.5])])
+        data = source.read_bytes()
+        assert (tmp_path / "out.bin").read_bytes() == (
+            b"ab" + data[3:13] + b"cd" + b"23456" + data[1000:] + np.float64(1.5).tobytes())
+
+    def test_a_range_past_the_end_fails_and_keeps_the_old_file(self, tmp_path):
+        source = tmp_path / "source.bin"
+        source.write_bytes(bytes(20))
+        (tmp_path / "out.bin").write_bytes(b"old")
+        with pytest.raises(TruncatedFileError, match=re.escape(str(source))):
+            atomic_write(tmp_path / "out.bin", [b"new", FileRange(source, 8, 16)])
+        assert (tmp_path / "out.bin").read_bytes() == b"old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin", "source.bin"]
