@@ -35,12 +35,13 @@ class ParticipationLedger:
     gradient's checkpoint record stays what it was until ``cache`` replaces
     that gradient.
 
-    ``checkpoint.save_ledger`` notes where it wrote each record: the file in
-    ``gradient_file`` and, per client in ``gradient_records``, the record's
-    sha256, byte offset and value count. A gradient that ``release`` takes
-    out of ``last_gradient`` after it was written lives on only there, and
-    the next save copies its record from that file. The cached clients are
-    those in ``last_gradient`` or ``gradient_records``.
+    ``checkpoint.save_ledger`` and ``checkpoint.load_ledger`` set where each
+    record lies: the file in ``gradient_file`` and, per client in
+    ``gradient_records``, the record's sha256, byte offset and value count.
+    A gradient that ``release`` takes out of ``last_gradient`` after it was
+    written lives on only there, and the next save copies its record from
+    that file. The cached clients are those in ``last_gradient`` or
+    ``gradient_records``.
     """
 
     def __init__(self):
@@ -92,11 +93,6 @@ class WeightAssignment:
     similarities: dict[int, float] = field(repr=False)
 
 
-def window_length(ledger: ParticipationLedger, num_online: int) -> int:
-    """Dynamic window tau = ceil(M / num_online), floored at 1, over the M clients seen so far."""
-    return max(1, -(-len(ledger.client_rounds) // num_online))
-
-
 def window_bound(clients: int, num_online: int) -> int:
     """The widest window a run reaches, ceil(clients / num_online): M never exceeds ``clients``.
 
@@ -104,6 +100,11 @@ def window_bound(clients: int, num_online: int) -> int:
     or before is reused in no round after t, unless ``cache`` replaces it.
     """
     return -(-clients // num_online)
+
+
+def window_length(ledger: ParticipationLedger, num_online: int) -> int:
+    """Dynamic window tau = ceil(M / num_online), floored at 1, over the M clients seen so far."""
+    return max(1, window_bound(len(ledger.client_rounds), num_online))
 
 
 def participation_frequency(ledger: ParticipationLedger, client: int, t: int, tau: int) -> float:

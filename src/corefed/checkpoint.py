@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .aggregation import ParticipationLedger
+from .data import read_exact
 from .errors import FormatError, InvariantError, TruncatedFileError
 
 LEDGER_SCHEMA_VERSION = 1
@@ -117,15 +118,13 @@ def write_vector(path, values: np.ndarray) -> None:
 
 
 def read_vector(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if len(raw) < 8:
-        raise TruncatedFileError(f"{path}: missing length prefix")
-    (count,) = struct.unpack_from("<Q", raw)
-    if len(raw) < 8 + count * 8:
-        raise TruncatedFileError(f"{path}: expected {count} values, file too short")
-    if len(raw) > 8 + count * 8:
-        raise FormatError(f"{path}: trailing bytes after {count} values")
-    return np.frombuffer(raw, dtype="<f8", offset=8).astype(np.float64)
+    """The values ``write_vector`` wrote to ``path``; bytes after them raise FormatError."""
+    with open(path, "rb") as fh:
+        (count,) = struct.unpack("<Q", read_exact(fh, 8, path, "length prefix"))
+        values = read_exact(fh, 8 * count, path, f"{count} values")
+        if fh.read(1):
+            raise FormatError(f"{path}: trailing bytes after {count} values")
+    return np.frombuffer(values, dtype="<f8").astype(np.float64)
 
 
 def _json_container(brackets: str, members: list[str], depth: int) -> str:
@@ -230,16 +229,9 @@ def load_ledger(json_path, gradients_path) -> ParticipationLedger:
     ``gradients_path``, as they do after the save that wrote it.
     """
     manifest = Path(json_path).read_bytes()
-    try:
-        document = json.loads(manifest)
-    except ValueError as exc:
-        raise FormatError(f"{json_path}: not a JSON document: {exc}") from exc
-    if not isinstance(document, dict):
-        raise FormatError(f"{json_path}: not a JSON object")
-    if document.get("schema_version") != LEDGER_SCHEMA_VERSION:
-        raise FormatError(f"{json_path}: unsupported ledger schema {document.get('schema_version')!r}")
     ledger = ParticipationLedger()
     try:
+        document = json.loads(manifest)
         for r, members in document["history"].items():
             ledger.record_round(int(r), members)
         similarities = {int(c): float(s) for c, s in document["last_similarity"].items()}
@@ -247,24 +239,21 @@ def load_ledger(json_path, gradients_path) -> ParticipationLedger:
     except (KeyError, AttributeError, TypeError, ValueError, OverflowError,
             InvariantError) as exc:
         raise FormatError(f"{json_path}: no run writes this ledger: {exc!r}") from exc
+    if document.get("schema_version") != LEDGER_SCHEMA_VERSION:
+        raise FormatError(f"{json_path}: unsupported ledger schema {document.get('schema_version')!r}")
     with open(gradients_path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
         for cid, length, digest in cache:
-            nbytes = 8 + length * 8
-            offset = fh.tell()
-            packed = fh.read(nbytes) if nbytes <= size - offset else b""
-            if len(packed) != nbytes:
-                raise TruncatedFileError(f"{gradients_path}: gradient cache shorter than manifest")
+            packed = read_exact(fh, 8 + 8 * length, gradients_path, f"client {cid}'s gradient")
             if hashlib.sha256(packed).hexdigest() != digest:
                 raise FormatError(f"{gradients_path}: digest mismatch for client {cid}")
-            if struct.unpack_from("<Q", packed)[0] != length:
-                raise FormatError(f"{gradients_path}: length prefix disagrees with manifest")
             if cid in ledger.client_rounds and cid in similarities:
                 ledger.cache(cid, np.frombuffer(packed, dtype="<f8", offset=8), similarities[cid])
-                ledger.gradient_records[cid] = (digest, offset, length)
         if fh.read(1):
             raise FormatError(f"{gradients_path}: trailing bytes after gradient cache")
-    ledger.gradient_file = Path(gradients_path)
-    if _ledger_files(ledger)[0] != manifest:
+    # Re-rendering hashes each record again from its values, so a length
+    # prefix that disagrees with the manifest's ``length`` fails here too.
+    rendered, _, ledger.gradient_records = _ledger_files(ledger)
+    if rendered != manifest:
         raise FormatError(f"{json_path}: not the bytes save_ledger writes for the ledger it describes")
+    ledger.gradient_file = Path(gradients_path)
     return ledger

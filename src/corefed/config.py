@@ -12,9 +12,10 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
+from .aggregation import window_bound
 from .errors import ConfigError
 from .nn import ModelSpec
 
@@ -49,6 +50,12 @@ class IdxSource:
 
     images: str
     labels: str
+
+
+# Each dataset kind and its source class; a dataset object without "kind" is the first.
+_DATASET_KINDS = {"synthetic": SyntheticSource, "idx": IdxSource}
+# The config file's nested objects and the class, or table of kinds, each builds.
+_OBJECTS = {"dataset": _DATASET_KINDS, "model": ModelSpec}
 
 
 @dataclass(frozen=True)
@@ -155,10 +162,10 @@ def _validate(cfg: ExperimentConfig) -> None:
     _require(cfg.rounds < 1 or lr_schedule(cfg.eta0, cfg.lr_decay, cfg.rounds) > 0,
              f"learning rate eta0 * lr_decay^(t-1) reaches 0 before the last round, {cfg.rounds}")
     _require(cfg.gamma >= 0, "gamma must be non-negative")
-    # The largest window is tau = ceil(clients / online), where a member's
-    # reward (1/f)^gamma reaches tau^gamma; the weight total over at most
-    # `clients` members must stay finite.
-    largest_tau = -(-cfg.clients // cfg.resolved_online())
+    # In the largest window, tau = window_bound, a member's reward (1/f)^gamma
+    # reaches tau^gamma; the weight total over at most `clients` members must
+    # stay finite.
+    largest_tau = window_bound(cfg.clients, cfg.resolved_online())
     if largest_tau > 1:
         gamma_limit = ((math.log(sys.float_info.max) - math.log(cfg.clients))
                        / math.log(largest_tau))
@@ -185,43 +192,28 @@ def _validate(cfg: ExperimentConfig) -> None:
                  "model.num_classes must match dataset.num_classes")
 
 
-def _parse_dataset(raw) -> SyntheticSource | IdxSource:
-    if not isinstance(raw, dict):
-        raise ConfigError("dataset must be an object")
-    kind = raw.get("kind", "synthetic")
-    if kind == "synthetic":
-        _reject_unknown(raw, {"kind"} | _keys(SyntheticSource), "dataset")
-        return SyntheticSource(**{key: value for key, value in raw.items() if key != "kind"})
-    if kind == "idx":
-        _reject_unknown(raw, {"kind"} | _keys(IdxSource), "dataset")
-        if "images" not in raw or "labels" not in raw:
-            raise ConfigError("dataset.images and dataset.labels are required for kind 'idx'")
-        return IdxSource(images=raw["images"], labels=raw["labels"])
-    raise ConfigError(f"dataset.kind must be 'synthetic' or 'idx', got {kind!r}")
+def _build(cls, raw, where: str):
+    """A ``cls`` built from the JSON object ``raw``, ``dataset`` and ``model`` included.
 
-
-def _parse_model(raw) -> ModelSpec:
-    if not isinstance(raw, dict):
-        raise ConfigError("model must be an object")
-    _reject_unknown(raw, _keys(ModelSpec), "model")
-    for key in ("input_dim", "hidden_dims", "num_classes"):
-        if key not in raw:
-            raise ConfigError(f"model.{key} is required when model is given")
-    hidden = raw["hidden_dims"]
-    # JSON has no tuple; anything but a list is left for _validate to reject
-    if isinstance(hidden, list):
-        hidden = tuple(hidden)
-    return ModelSpec(**{**raw, "hidden_dims": hidden})
-
-
-def _keys(cls) -> frozenset[str]:
-    return frozenset(f.name for f in fields(cls))
-
-
-def _reject_unknown(raw: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(raw) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown {where} key(s): {', '.join(unknown)}")
+    An unknown key or a missing required field raises ConfigError naming it
+    (a missing one as ``<where>.<field>``), and a list becomes the tuple
+    JSON cannot express; every value rule is left to ``_validate``.
+    """
+    _require(isinstance(raw, dict), f"{where} must be an object")
+    if isinstance(cls, dict):  # a table of kinds: the object's "kind" picks the class
+        raw = dict(raw)
+        kind = raw.pop("kind", next(iter(cls)))
+        _require(isinstance(kind, str) and kind in cls,
+                 f"{where}.kind must be {' or '.join(map(repr, cls))}, got {kind!r}")
+        cls = cls[kind]
+    unknown = sorted(set(map(str, raw)) - {f.name for f in fields(cls)})
+    _require(not unknown, f"unknown {where} key(s): {', '.join(unknown)}")
+    missing = [f"{where}.{f.name}" for f in fields(cls) if f.name not in raw
+               and f.default is MISSING and f.default_factory is MISSING]
+    _require(not missing, f"missing required key(s): {', '.join(missing)}")
+    return cls(**{key: _build(_OBJECTS[key], value, key) if key in _OBJECTS
+                  else tuple(value) if isinstance(value, list) else value
+                  for key, value in raw.items()})
 
 
 def _unique_keys(path, pairs: list[tuple[str, object]]) -> dict:
@@ -250,18 +242,12 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    _reject_unknown(raw, _keys(ExperimentConfig), "config")
-    kwargs = {key: value for key, value in raw.items() if key not in ("dataset", "model")}
-    if "dataset" in raw:
-        kwargs["dataset"] = _parse_dataset(raw["dataset"])
-    if "model" in raw:
-        kwargs["model"] = _parse_model(raw["model"])
-    return ExperimentConfig(**kwargs)
+    return _build(ExperimentConfig, raw, "config")
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     out = asdict(cfg)
-    kind = "synthetic" if isinstance(cfg.dataset, SyntheticSource) else "idx"
+    kind = next(kind for kind, cls in _DATASET_KINDS.items() if isinstance(cfg.dataset, cls))
     out["dataset"] = {"kind": kind, **out["dataset"]}
     return out
 

@@ -93,10 +93,11 @@ def gen_synthetic(num_classes: int, input_dim: int, n: int, seed: int) -> Datase
     return Dataset(inputs, labels, num_classes)
 
 
-def _read_exact(fh, nbytes: int, path, what: str) -> bytes:
-    """The next ``nbytes`` of ``fh``; a size the file cannot hold raises before any read."""
+def read_exact(fh, nbytes: int, path, what: str) -> bytes:
+    """The next ``nbytes`` of ``fh``, the file at ``path``: every binary input is read here,
+    and a size below 0 or past the bytes left raises TruncatedFileError before any read."""
     left = os.fstat(fh.fileno()).st_size - fh.tell()
-    data = fh.read(nbytes) if nbytes <= left else b""
+    data = fh.read(nbytes) if 0 <= nbytes <= left else b""
     if len(data) != nbytes:
         raise TruncatedFileError(f"{path}: truncated while reading {what} "
                                  f"(wanted {nbytes} bytes, {left} left)")
@@ -116,18 +117,18 @@ def load_idx(images_path, labels_path) -> Dataset:
     range raises FormatError.
     """
     with open(images_path, "rb") as fh:
-        magic, count, rows, cols = struct.unpack(">IIII", _read_exact(fh, 16, images_path, "image header"))
+        magic, count, rows, cols = struct.unpack(">IIII", read_exact(fh, 16, images_path, "image header"))
         if magic != IDX3_MAGIC:
             raise FormatError(f"{images_path}: bad IDX3 magic 0x{magic:08x}")
-        pixels = _read_exact(fh, count * rows * cols, images_path, "pixel data")
+        pixels = read_exact(fh, count * rows * cols, images_path, "pixel data")
         if rows * cols > np.iinfo(np.intp).max:  # only a count of 0 gets here
             raise FormatError(f"{images_path}: {rows} x {cols} pixels per image "
                               f"exceed the index range")
     with open(labels_path, "rb") as fh:
-        magic, label_count = struct.unpack(">II", _read_exact(fh, 8, labels_path, "label header"))
+        magic, label_count = struct.unpack(">II", read_exact(fh, 8, labels_path, "label header"))
         if magic != IDX1_MAGIC:
             raise FormatError(f"{labels_path}: bad IDX1 magic 0x{magic:08x}")
-        raw_labels = _read_exact(fh, label_count, labels_path, "label data")
+        raw_labels = read_exact(fh, label_count, labels_path, "label data")
     if label_count != count:
         raise FormatError(f"image count {count} does not match label count {label_count}")
     inputs = np.frombuffer(pixels, dtype=np.uint8).astype(np.float64).reshape(count, rows * cols)

@@ -68,6 +68,13 @@ class TestVectorFile:
         with pytest.raises(FormatError, match="trailing bytes"):
             read_vector(path)
 
+    def test_count_past_the_file_is_rejected_unread(self, tmp_path):
+        path = tmp_path / "vec.bin"
+        path.write_bytes(struct.pack("<Q", 2**62) + bytes(16))
+        message = re.escape(f"{path}: truncated while reading {2**62} values")
+        with pytest.raises(TruncatedFileError, match=message):
+            read_vector(path)
+
 
 def dumps_manifest(document):
     """``document`` as the json module encodes ledger.json: two-space indents and a final newline."""
@@ -142,7 +149,24 @@ class TestLedgerCheckpoint:
         text = (tmp_path / "ledger.json").read_text(encoding="utf-8")
         text = edited(lambda d: d["gradient_cache"][0].update({"length": 2**62}))(text)
         (tmp_path / "ledger.json").write_text(text, encoding="utf-8")
-        with pytest.raises(TruncatedFileError, match="gradient cache shorter than manifest"):
+        message = re.escape(f"{tmp_path / 'gradients.bin'}: truncated while reading client 1's")
+        with pytest.raises(TruncatedFileError, match=message):
+            load_ledger(tmp_path / "ledger.json", tmp_path / "gradients.bin")
+
+    def test_length_prefix_that_disagrees_with_the_manifest_is_rejected(self, tmp_path):
+        # client 3's record is the last, 2 values at byte 48; its prefix says 3
+        # and the manifest carries that record's own digest, so only the
+        # manifest's length of 2 disagrees with the record
+        save_ledger(sample_ledger(), tmp_path / "ledger.json", tmp_path / "gradients.bin")
+        blob = (tmp_path / "gradients.bin").read_bytes()
+        record = struct.pack("<Q", 3) + blob[56:]
+        (tmp_path / "gradients.bin").write_bytes(blob[:48] + record)
+        text = (tmp_path / "ledger.json").read_text(encoding="utf-8")
+        digest = hashlib.sha256(record).hexdigest()
+        text = edited(lambda d: d["gradient_cache"][2].update({"sha256": digest}))(text)
+        (tmp_path / "ledger.json").write_text(text, encoding="utf-8")
+        message = re.escape(f"{tmp_path / 'ledger.json'}: not the bytes save_ledger writes")
+        with pytest.raises(FormatError, match=message):
             load_ledger(tmp_path / "ledger.json", tmp_path / "gradients.bin")
 
     @pytest.mark.parametrize("edit, damaged", [
@@ -170,11 +194,13 @@ class TestLedgerCheckpoint:
         (lambda text: text.replace('    "1": 0.25,\n', '    "1": 0.25,\n    "1": 0.25,\n'),
          "ledger.json"),
         (edited(lambda d: d.update(history=d.pop("history"))), "ledger.json"),
+        (edited(lambda d: d["gradient_cache"][0].update({"length": -2})), "gradients.bin"),
     ], ids=["round-not-integer", "round-named-twice", "round-zero", "round-negative",
             "member-twice", "round-without-members", "member-not-integer", "member-float",
             "member-below-one", "last-participation", "similarity-missing", "gradient-missing",
             "similarity-only", "cached-client-never-recorded", "client-cached-twice",
-            "history-key-repeated", "similarity-key-repeated", "top-level-keys-reordered"])
+            "history-key-repeated", "similarity-key-repeated", "top-level-keys-reordered",
+            "length-negative"])
     def test_ledger_no_run_writes_is_rejected(self, tmp_path, edit, damaged):
         # Every edit keeps save_ledger's formatting, so only the edit itself
         # differs from a file a run writes.
@@ -312,6 +338,8 @@ class TestLoadRoundTrip:
             root = Path(tmp)
             save_ledger(ledger, root / "ledger.json", root / "gradients.bin")
             restored = load_ledger(root / "ledger.json", root / "gradients.bin")
+            assert restored.gradient_file == ledger.gradient_file
+            assert restored.gradient_records == ledger.gradient_records
             save_ledger(restored, root / "again.json", root / "again.bin")
             for first, second in (("ledger.json", "again.json"), ("gradients.bin", "again.bin")):
                 assert (root / first).read_bytes() == (root / second).read_bytes()

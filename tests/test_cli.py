@@ -31,6 +31,7 @@ SMALL = {
     "seed": 5,
     "dataset": {"kind": "synthetic", "num_classes": 3, "input_dim": 6, "n": 200},
 }
+SMALL_MODEL = {"input_dim": 6, "hidden_dims": [4], "num_classes": 3}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -239,6 +240,27 @@ class TestParseConfig:
             config_from_dict({"algorithm": ["x"]})
         with pytest.raises(ConfigError, match="hidden_dims"):
             config_from_dict({"model": {"input_dim": 32, "hidden_dims": 5, "num_classes": 4}})
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"dataset": {"kind": "idx", "images": "a"}}, "missing required key(s): dataset.labels"),
+        *(({**SMALL, "model": {k: v for k, v in SMALL_MODEL.items() if k != key}},
+           f"missing required key(s): model.{key}") for key in SMALL_MODEL),
+        ({"dataset": {"kind": []}}, "dataset.kind must be 'synthetic' or 'idx', got []"),
+        ({"dataset": {"kind": "csv"}}, "dataset.kind must be 'synthetic' or 'idx', got 'csv'"),
+        ({"dataset": {"kind": None}}, "dataset.kind must be 'synthetic' or 'idx', got None"),
+        ({"dataset": ["synthetic"]}, "dataset must be an object"),
+        ({"model": [6, [4], 3]}, "model must be an object"),
+        ({"model": None}, "model must be an object"),
+        ({"dataset": {"kind": "idx", "images": "a", "labels": "b", "n": 3}},
+         "unknown dataset key(s): n"),
+        ({"model": {**SMALL_MODEL, "depth": 2}}, "unknown model key(s): depth"),
+        ({1: 2}, "unknown config key(s): 1"),
+    ], ids=["idx-labels", "model-input_dim", "model-hidden_dims", "model-num_classes",
+            "kind-list", "kind-unknown", "kind-null", "dataset-list", "model-list", "model-null",
+            "dataset-key", "model-key", "key-not-a-string"])
+    def test_malformed_object_is_a_config_error_naming_the_key(self, raw, message):
+        with pytest.raises(ConfigError, match=re.escape(message) + "$"):
+            config_from_dict(raw)
 
     def test_hash_is_stable_content_hash(self):
         a = config_from_dict(dict(SMALL))

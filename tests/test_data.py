@@ -1,11 +1,14 @@
+import ast
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import corefed
 from corefed.data import (
     IDX1_MAGIC,
     IDX3_MAGIC,
@@ -123,6 +126,20 @@ class TestLoadIdx:
                                         image_count=0)
         with pytest.raises(FormatError, match=re.escape(f"{images}: 4294967295 x 4294967295")):
             load_idx(images, labels)
+
+
+class TestOneBoundedReader:
+    # Every binary input is checked against the bytes left in its file by
+    # data.read_exact; a second fstat is a second reader restating the check.
+    def test_only_the_bounded_reader_asks_for_a_file_size(self):
+        callers = set()
+        for module in sorted(Path(corefed.__file__).parent.glob("*.py")):
+            tree = ast.parse(module.read_text(encoding="utf-8"))
+            for function in ast.walk(tree):
+                if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    callers.update((module.name, function.name) for node in ast.walk(function)
+                                   if isinstance(node, ast.Attribute) and node.attr == "fstat")
+        assert callers == {("data.py", "read_exact")}
 
 
 def label_entropy(labels, num_classes):
