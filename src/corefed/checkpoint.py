@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import struct
 from collections.abc import Iterable
@@ -26,11 +25,11 @@ import numpy as np
 
 from .aggregation import ParticipationLedger
 from .data import read_exact
-from .errors import FormatError, InvariantError, TruncatedFileError
+from .errors import FormatError, InvariantError
 
 LEDGER_SCHEMA_VERSION = 1
 _IOV_MAX = os.sysconf("SC_IOV_MAX")
-_PREAD_BLOCK = 1 << 16  # below malloc's mmap threshold, so each block reuses heap memory
+_COPY_BLOCK = 1 << 16  # below malloc's mmap threshold, so each block reuses heap memory
 
 
 @dataclass(frozen=True)
@@ -55,24 +54,19 @@ def _write_views(fd: int, views: list[memoryview]) -> None:
 
 
 def _copy_range(fd: int, chunk: FileRange) -> None:
-    """Append ``chunk``'s bytes at ``fd``'s position, read with ``os.pread``, at most
-    ``_PREAD_BLOCK`` bytes at a time.
+    """Append ``chunk``'s bytes at ``fd``'s position, read by ``read_exact`` at most
+    ``_COPY_BLOCK`` bytes at a time through a buffered file, which resumes a short read.
 
     A source that ends before the range does raises TruncatedFileError
     naming it; a missing one raises FileNotFoundError naming it.
     """
-    source = os.open(chunk.path, os.O_RDONLY)
-    try:
-        offset, end = chunk.offset, chunk.offset + chunk.length
-        while offset < end:
-            block = os.pread(source, min(end - offset, _PREAD_BLOCK), offset)
-            if not block:
-                raise TruncatedFileError(f"{chunk.path}: ends at byte {offset}, "
-                                         f"a cached gradient's record runs to byte {end}")
+    end = chunk.offset + chunk.length
+    with open(chunk.path, "rb") as source:
+        source.seek(chunk.offset)
+        for start in range(chunk.offset, end, _COPY_BLOCK):
+            block = read_exact(source, min(end - start, _COPY_BLOCK), chunk.path,
+                               f"the cached gradient records at bytes {chunk.offset}-{end}")
             _write_views(fd, [memoryview(block)])
-            offset += len(block)
-    finally:
-        os.close(source)
 
 
 def atomic_write(path, chunks: Iterable) -> None:
@@ -135,17 +129,6 @@ def _json_container(brackets: str, members: list[str], depth: int) -> str:
     return brackets[0] + pad + ("," + pad).join(members) + "\n" + "  " * depth + brackets[1]
 
 
-def _json_float(x: float) -> str:
-    """``x`` as the json module writes a float."""
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
 def _ledger_files(ledger: ParticipationLedger) -> tuple[bytes, list, dict]:
     """The ``ledger.json`` bytes and the ``gradients.bin`` chunks that describe ``ledger``,
     and where in ``gradients.bin`` each client's record lands.
@@ -197,8 +180,7 @@ def _ledger_files(ledger: ParticipationLedger) -> tuple[bytes, list, dict]:
         '"last_participation": ' + _json_container(
             "{}", [f'"{c}": {rounds[-1]}' for c, rounds in clients], 1),
         '"last_similarity": ' + _json_container(
-            "{}", [f'"{c}": {_json_float(s)}' for c, s in sorted(ledger.last_similarity.items())],
-            1),
+            "{}", [f'"{c}": {s!r}' for c, s in sorted(ledger.last_similarity.items())], 1),
         '"gradient_cache": ' + _json_container("[]", entries, 1),
     ]
     return (_json_container("{}", sections, 0) + "\n").encode("utf-8"), chunks, records
@@ -222,9 +204,10 @@ def load_ledger(json_path, gradients_path) -> ParticipationLedger:
 
     The ledger is rebuilt through its mutators, and ``ledger.json`` must hold
     exactly the bytes ``save_ledger`` writes for the rebuilt ledger; any other
-    manifest raises FormatError naming the file. ``gradients.bin`` must hold
-    the records the manifest lists, each with its digest, and nothing more; a
-    record longer than the rest of the file raises TruncatedFileError unread.
+    manifest, or a similarity outside [-1, 1], raises FormatError naming the
+    file. ``gradients.bin`` must hold the records the manifest lists, each
+    with its digest, and nothing more; a record longer than the rest of the
+    file raises TruncatedFileError unread.
     The ledger's ``gradient_file`` and ``gradient_records`` point into
     ``gradients_path``, as they do after the save that wrote it.
     """
@@ -241,6 +224,9 @@ def load_ledger(json_path, gradients_path) -> ParticipationLedger:
         raise FormatError(f"{json_path}: no run writes this ledger: {exc!r}") from exc
     if document.get("schema_version") != LEDGER_SCHEMA_VERSION:
         raise FormatError(f"{json_path}: unsupported ledger schema {document.get('schema_version')!r}")
+    # Every similarity a run records is a cosine clipped to [-1, 1]; NaN fails both bounds.
+    if not all(-1.0 <= s <= 1.0 for s in similarities.values()):
+        raise FormatError(f"{json_path}: a similarity outside [-1, 1], which no run records")
     with open(gradients_path, "rb") as fh:
         for cid, length, digest in cache:
             packed = read_exact(fh, 8 + 8 * length, gradients_path, f"client {cid}'s gradient")

@@ -58,6 +58,13 @@ _DATASET_KINDS = {"synthetic": SyntheticSource, "idx": IdxSource}
 _OBJECTS = {"dataset": _DATASET_KINDS, "model": ModelSpec}
 
 
+# Fields added to the schema after config.json's layout was fixed, named "<field>"
+# or "dataset.<field>" / "model.<field>". config_to_dict leaves a listed field out
+# while it holds its dataclass default, so a config that does not set it keeps
+# its config.json bytes and its hash.
+_ADDED_FIELDS: frozenset[str] = frozenset()
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     algorithm: str = "corefed"
@@ -249,6 +256,11 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     out = asdict(cfg)
     kind = next(kind for kind, cls in _DATASET_KINDS.items() if isinstance(cfg.dataset, cls))
     out["dataset"] = {"kind": kind, **out["dataset"]}
+    for name in _ADDED_FIELDS:
+        where, _, key = name.rpartition(".")
+        owner, written = (getattr(cfg, where), out[where]) if where else (cfg, out)
+        if any(f.name == key and getattr(owner, key) == f.default for f in fields(owner)):
+            del written[key]
     return out
 
 

@@ -1,5 +1,6 @@
 import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -26,6 +27,7 @@ from corefed.checkpoint import (
 )
 from corefed.cli import main
 from corefed.config import ExperimentConfig, SyntheticSource, dumps_config
+from corefed.data import read_exact
 from corefed.errors import FormatError, TruncatedFileError
 from corefed.simulation import run_simulation
 
@@ -195,12 +197,16 @@ class TestLedgerCheckpoint:
          "ledger.json"),
         (edited(lambda d: d.update(history=d.pop("history"))), "ledger.json"),
         (edited(lambda d: d["gradient_cache"][0].update({"length": -2})), "gradients.bin"),
+        (edited(lambda d: d["last_similarity"].update({"1": 1.5})), "ledger.json"),
+        (edited(lambda d: d["last_similarity"].update({"1": math.nan})), "ledger.json"),
+        (edited(lambda d: d["last_similarity"].update({"2": -math.inf})), "ledger.json"),
     ], ids=["round-not-integer", "round-named-twice", "round-zero", "round-negative",
             "member-twice", "round-without-members", "member-not-integer", "member-float",
             "member-below-one", "last-participation", "similarity-missing", "gradient-missing",
             "similarity-only", "cached-client-never-recorded", "client-cached-twice",
             "history-key-repeated", "similarity-key-repeated", "top-level-keys-reordered",
-            "length-negative"])
+            "length-negative", "similarity-above-one", "similarity-nan",
+            "similarity-minus-infinity"])
     def test_ledger_no_run_writes_is_rejected(self, tmp_path, edit, damaged):
         # Every edit keeps save_ledger's formatting, so only the edit itself
         # differs from a file a run writes.
@@ -346,12 +352,16 @@ class TestLoadRoundTrip:
 
 
 class TestManifestWriter:
-    """ledger.json is written directly; its bytes must be what the json module gives."""
+    """ledger.json is written directly; its bytes must be what the json module gives.
 
-    @given(ledger_ops_with(st.floats()))
+    A run records only finite similarities, so only those are drawn; the
+    loader's rejection of NaN and the infinities is tested with the other
+    ledgers no run writes."""
+
+    @given(ledger_ops_with(st.floats(allow_nan=False, allow_infinity=False)))
     @example([])
-    @example([("record", {1, 2, 3}), ("cache", 1, [], math.nan), ("cache", 2, [0.5], math.inf),
-              ("save", False), ("cache", 3, [-0.0, 2.0], -math.inf), ("cache", 1, [1.0], -0.0)])
+    @example([("record", {1, 2, 3}), ("cache", 1, [], 1e-300), ("cache", 2, [0.5], -1.0),
+              ("save", False), ("cache", 3, [-0.0, 2.0], 1e300), ("cache", 1, [1.0], -0.0)])
     @settings(max_examples=120, deadline=None)
     def test_manifest_matches_the_json_module(self, ops):
         ledger = ParticipationLedger()
@@ -573,6 +583,17 @@ def run_files(root):
     return sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
 
 
+def count_copied_blocks(monkeypatch):
+    """The size of each block ``_copy_range`` reads, in order, as a list that grows."""
+    reads = []
+
+    def counted_read_exact(fh, nbytes, path, what):
+        reads.append(nbytes)
+        return read_exact(fh, nbytes, path, what)
+    monkeypatch.setattr(checkpoint, "read_exact", counted_read_exact)
+    return reads
+
+
 class TestReleasedGradientBytes:
     def assert_pinned(self, root, byte_scope):
         assert run_files(root) == sorted(RELEASE_SHA256)
@@ -596,14 +617,8 @@ class TestReleasedGradientBytes:
 
     def test_blocks_smaller_than_a_record_give_the_same_bytes(self, tmp_path, monkeypatch,
                                                               byte_scope):
-        reads = []
-        pread = os.pread
-
-        def counted_pread(fd, n, offset):
-            reads.append(n)
-            return pread(fd, n, offset)
-        monkeypatch.setattr(os, "pread", counted_pread)
-        monkeypatch.setattr(checkpoint, "_PREAD_BLOCK", 4096)  # below one 44 KB record
+        reads = count_copied_blocks(monkeypatch)
+        monkeypatch.setattr(checkpoint, "_COPY_BLOCK", 4096)  # below one 44 KB record
         run_simulation(RELEASE_CONFIG, checkpoint_dir=tmp_path)
         assert reads and max(reads) == 4096
         self.assert_pinned(tmp_path, byte_scope)
@@ -685,13 +700,7 @@ class TestCopyFailures:
         clean, torn = tmp_path / "clean", tmp_path / "torn"
         run_simulation(RELEASE_CONFIG, checkpoint_dir=clean)
 
-        reads = []
-        pread = os.pread
-
-        def counted_pread(fd, n, offset):
-            reads.append(n)
-            return pread(fd, n, offset)
-        monkeypatch.setattr(os, "pread", counted_pread)
+        reads = count_copied_blocks(monkeypatch)
         disk = DiskFull(lambda fd: bool(reads))  # full from the first copied block on
         monkeypatch.setattr(os, "writev", disk)
         with pytest.raises(OSError, match="No space left"):
@@ -730,18 +739,36 @@ class TestCopyFailures:
 
 
 class TestFileRanges:
-    @pytest.mark.parametrize("block", [7, checkpoint._PREAD_BLOCK])
+    @pytest.mark.parametrize("block", [7, checkpoint._COPY_BLOCK])
     def test_ranges_and_buffers_land_in_order(self, tmp_path, monkeypatch, block):
         source, other = tmp_path / "source.bin", tmp_path / "other.bin"
         source.write_bytes(bytes(range(256)) * 4)
         other.write_bytes(b"0123456789")
-        monkeypatch.setattr(checkpoint, "_PREAD_BLOCK", block)
+        monkeypatch.setattr(checkpoint, "_COPY_BLOCK", block)
         atomic_write(tmp_path / "out.bin", [b"ab", FileRange(source, 3, 10), b"cd",
                                             FileRange(other, 2, 5), FileRange(source, 1000, 24),
                                             np.array([1.5])])
         data = source.read_bytes()
         assert (tmp_path / "out.bin").read_bytes() == (
             b"ab" + data[3:13] + b"cd" + b"23456" + data[1000:] + np.float64(1.5).tobytes())
+
+    def test_a_short_read_is_resumed_not_taken_for_the_end(self, tmp_path, monkeypatch):
+        # The system may return fewer bytes than asked from anywhere in a file.
+        class ShortReads(io.FileIO):
+            def readinto(self, buffer):
+                return super().readinto(memoryview(buffer)[:5])
+
+            def read(self, size=-1):
+                return super().read(5 if size < 0 else min(size, 5))
+
+        def short_reads_open(path, mode="r", buffering=-1):
+            raw = ShortReads(path, mode)
+            return raw if buffering == 0 else io.BufferedReader(raw)
+        source = tmp_path / "source.bin"
+        source.write_bytes(bytes(range(256)))
+        monkeypatch.setattr(checkpoint, "open", short_reads_open, raising=False)
+        atomic_write(tmp_path / "out.bin", [FileRange(source, 3, 200)])
+        assert (tmp_path / "out.bin").read_bytes() == bytes(range(3, 203))
 
     def test_a_range_past_the_end_fails_and_keeps_the_old_file(self, tmp_path):
         source = tmp_path / "source.bin"

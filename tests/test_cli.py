@@ -2,13 +2,18 @@ import ast
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import corefed
+from corefed import config as config_module
 from corefed import simulation
 from corefed.cli import main, write_outputs
 from corefed.config import (
@@ -463,6 +468,18 @@ class TestValidateAndEnv:
         assert echoed["gamma"] == 0.5
         assert echoed["dataset"]["kind"] == "synthetic"
 
+    def test_module_entry_point_validates_an_empty_config(self, tmp_path):
+        # `python -m corefed` is how every cold benchmark run starts.
+        path = tmp_path / "empty.json"
+        path.write_text("", encoding="utf-8")
+        env = {name: value for name, value in os.environ.items() if name != "COREFED_SEED"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(corefed.__file__).parent.parent)] + env.get("PYTHONPATH", "").split(os.pathsep))
+        done = subprocess.run([sys.executable, "-m", "corefed", "validate", "--config", str(path)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == dumps_config(ExperimentConfig())
+
     def test_validate_rejects_bad_config(self, tmp_path, capsys):
         path = write_config(tmp_path, {"beta": -1})
         assert main(["validate", "--config", str(path)]) == 1
@@ -762,3 +779,47 @@ class TestGoldenBytes:
             assert plain["last_participation"] == fair["last_participation"]
             assert plain["gradient_cache"] == [] and plain["last_similarity"] == {}
             assert (out / "golden" / algorithm / "round_5" / "gradients.bin").read_bytes() == b""
+
+
+@dataclass(frozen=True)
+class GrownModel(ModelSpec):
+    dropout: float = 0.0
+
+
+@dataclass(frozen=True)
+class GrownConfig(ExperimentConfig):
+    mu: float = 0.0
+
+
+class TestAddedFields:
+    """A field added to the schema is left out of config.json while it holds its default."""
+
+    GOLDEN_MODEL = {"input_dim": 6, "hidden_dims": [64, 64], "num_classes": 3}
+
+    @pytest.fixture
+    def grown(self, monkeypatch):
+        """The schema with one throwaway field added at the top level and one in ``model``."""
+        monkeypatch.setattr(config_module, "_ADDED_FIELDS", frozenset({"mu", "model.dropout"}))
+        monkeypatch.setattr(config_module, "ExperimentConfig", GrownConfig)
+        monkeypatch.setitem(config_module._OBJECTS, "model", GrownModel)
+
+    @pytest.mark.parametrize("model", [None, GOLDEN_MODEL], ids=["model-derived", "model-given"])
+    def test_default_values_keep_the_golden_config_bytes(self, grown, model):
+        cfg = config_from_dict({**GOLDEN_CONFIG, **({"model": model} if model else {})})
+        assert isinstance(cfg, GrownConfig) and cfg.mu == 0.0
+        assert isinstance(cfg.model, GrownModel) == bool(model)
+        text = dumps_config(cfg).encode("utf-8")
+        assert hashlib.sha256(text).hexdigest() == GOLDEN_SHA256["corefed"]["config.json"]
+        assert f"run-{config_hash(cfg)[:12]}" == GOLDEN_RUN_DIR
+
+    @pytest.mark.parametrize("added, where, key, value", [
+        ({"mu": 0.25}, None, "mu", 0.25),
+        ({"model": {**GOLDEN_MODEL, "dropout": 0.5}}, "model", "dropout", 0.5),
+    ], ids=["top-level", "nested"])
+    def test_other_values_round_trip_and_change_the_hash(self, grown, added, where, key, value):
+        default = config_from_dict({**GOLDEN_CONFIG, "model": self.GOLDEN_MODEL})
+        cfg = config_from_dict({**GOLDEN_CONFIG, "model": self.GOLDEN_MODEL, **added})
+        written = json.loads(dumps_config(cfg))
+        assert (written[where] if where else written)[key] == value
+        assert config_from_dict(written) == cfg
+        assert config_hash(cfg) != config_hash(default)

@@ -128,18 +128,31 @@ class TestLoadIdx:
             load_idx(images, labels)
 
 
+def attribute_users(names, receiver=None):
+    """Each (module, function) under src/corefed that names an attribute in ``names``;
+    given a ``receiver``, only as an attribute of that bare name."""
+    users = set()
+    for module in sorted(Path(corefed.__file__).parent.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                users.update((module.name, function.name) for node in ast.walk(function)
+                             if isinstance(node, ast.Attribute) and node.attr in names
+                             and (receiver is None or isinstance(node.value, ast.Name)
+                                  and node.value.id == receiver))
+    return users
+
+
 class TestOneBoundedReader:
     # Every binary input is checked against the bytes left in its file by
     # data.read_exact; a second fstat is a second reader restating the check.
     def test_only_the_bounded_reader_asks_for_a_file_size(self):
-        callers = set()
-        for module in sorted(Path(corefed.__file__).parent.glob("*.py")):
-            tree = ast.parse(module.read_text(encoding="utf-8"))
-            for function in ast.walk(tree):
-                if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    callers.update((module.name, function.name) for node in ast.walk(function)
-                                   if isinstance(node, ast.Attribute) and node.attr == "fstat")
-        assert callers == {("data.py", "read_exact")}
+        assert attribute_users({"fstat"}) == {("data.py", "read_exact")}
+
+    # A raw descriptor read bypasses that check, and so does its own
+    # end-of-file test; file objects go through read_exact instead.
+    def test_no_function_reads_a_raw_descriptor(self):
+        assert attribute_users({"pread", "read", "preadv", "readv"}, receiver="os") == set()
 
 
 def label_entropy(labels, num_classes):
