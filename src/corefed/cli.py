@@ -98,8 +98,8 @@ def write_outputs(run_dir: Path, cfg: ExperimentConfig, run_id: str,
     _write_text(run_dir / "rounds.csv", "\n".join(lines) + "\n")
 
     acc_lines = ["round,client_id,accuracy"]
-    for report in reports:  # client ids are unique, so the pairs sort by id alone
-        for cid, accuracy in sorted(zip(report.client_ids, report.accuracies)):
+    for report in reports:  # the evaluation plan's client ids ascend
+        for cid, accuracy in zip(report.client_ids, report.accuracies):
             acc_lines.append(f"{report.round},{cid},{_fmt(accuracy)}")
     _write_text(run_dir / "per_client_accuracy.csv", "\n".join(acc_lines) + "\n")
 

@@ -26,7 +26,7 @@ class InvariantError(RuntimeError):
 
 
 class ClientSkipped(RuntimeError):
-    """A sampled client cannot train: its shard has no training data."""
+    """A client could never train: its injected shard has no training data."""
 
 
 class NumericalError(RuntimeError):

@@ -45,7 +45,7 @@ class RoundReport:
 
 @dataclass(frozen=True)
 class EvaluationPlan:
-    """Every non-empty test slice of a run, as one block in shard order.
+    """Every non-empty test slice of a run, as one block in client-id order.
 
     Slice ``i`` is ``data[starts[i] : starts[i] + sizes[i]]`` and belongs to
     client ``client_ids[i]``. For ``split_test`` shards the block is a view

@@ -6,8 +6,8 @@ in one flat float64 vector with a deterministic layer-major layout
 (per layer: weight matrix row-major, then bias), so federated aggregation
 is plain vector arithmetic.
 
-Arguments are trusted: the data a function receives fits its ``ModelSpec``
-(checked once per run by config validation, ``simulation.build_shards`` or
+Arguments are trusted: data fits its ``ModelSpec`` and a shard holds
+training rows (checked once per run by config validation and
 ``simulation.run_simulation``), and rates and batch sizes come from a
 validated config. Nothing here re-checks them per call.
 """
@@ -20,7 +20,6 @@ from functools import cached_property
 import numpy as np
 
 from .data import Dataset, Shard
-from .errors import ClientSkipped
 
 
 @dataclass(frozen=True)
@@ -157,12 +156,9 @@ def local_train(params: np.ndarray, spec: ModelSpec, shard: Shard, epochs: int,
 
     Runs ``epochs`` full passes; the last partial batch is trained on, not
     dropped. A fixed ``rng`` state makes the result bitwise reproducible.
-    Returns a new vector and leaves ``params`` unchanged. Raises
-    ``ClientSkipped`` when the shard has no training data.
+    Returns a new vector and leaves ``params`` unchanged.
     """
     n = len(shard.train)
-    if n == 0:
-        raise ClientSkipped(f"client {shard.client_id} has no training data")
     current = params.copy()
     grad = np.empty_like(current)
     for _ in range(epochs):

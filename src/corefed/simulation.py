@@ -25,7 +25,7 @@ from .checkpoint import save_ledger, write_vector
 from .config import ALGORITHMS, ExperimentConfig, SyntheticSource, lr_schedule
 from .data import Dataset, Shard, dirichlet_partition, gen_synthetic, load_idx, split_test
 from .embedding import build_alignment_records, client_embedding, cosine, global_embedding
-from .errors import ConfigError, NumericalError
+from .errors import ClientSkipped, ConfigError, NumericalError
 from .metrics import (
     EvaluationPlan,
     RoundReport,
@@ -58,7 +58,7 @@ def sample_clients(state: RunState, config: ExperimentConfig) -> frozenset[int]:
 def _check_fits(spec: ModelSpec, data: Dataset, source: str) -> None:
     """Reject ``data`` that ``spec`` cannot read: the one rule for data from outside.
 
-    Inputs must be (n, d) with one label per row and every label in
+    Inputs must be (n, d) with one integer label per row and every label in
     [0, num_classes); the model must take width d and score each of the
     ``num_classes`` labels. ``source`` names the data in the message.
     """
@@ -66,6 +66,8 @@ def _check_fits(spec: ModelSpec, data: Dataset, source: str) -> None:
     if inputs.ndim != 2 or labels.shape != (len(inputs),):
         raise ConfigError(f"{source} data needs one label per row of (n, d) inputs, "
                           f"not {inputs.shape} inputs and {labels.shape} labels")
+    if not np.issubdtype(labels.dtype, np.integer):  # bool too: it would index as a mask
+        raise ConfigError(f"{source} labels must be integers, not {labels.dtype}")
     if len(labels) and not 0 <= labels.min() <= labels.max() < data.num_classes:
         raise ConfigError(f"{source} labels must lie in [0, {data.num_classes})")
     if data.input_dim != spec.input_dim:
@@ -106,25 +108,24 @@ def run_round(state: RunState, config: ExperimentConfig, shards: list[Shard],
     losses, ``fair`` aggregates pseudo-gradients with the reward-penalty
     weights (similarity from the raw embedding unless ``align`` is on).
     With neither, no embedding pass runs and the round is plain FedAvg.
-    Every sampled client trains; a shard without training data stops the run
-    with ``ClientSkipped``; a client's dead last hidden layer, or a new
-    global model that is not finite or is dead on every test row, with
-    ``NumericalError``.
+    ``shards[i - 1]`` is client i's shard, with training rows, as
+    ``run_simulation`` orders and checks them. Every sampled client trains;
+    a client's dead last hidden layer, or a new global model that is not
+    finite or is dead on every test row, stops the run with ``NumericalError``.
     The new global model is scored against ``plan``, built from ``shards``.
     """
     t = state.round + 1
     align, fair = ALGORITHMS[config.algorithm]
     eta = lr_schedule(config.eta0, config.lr_decay, t)
-    by_id = {shard.client_id: shard for shard in shards}
     active = sorted(sample_clients(state, config))
-    local_models = {cid: local_train(state.params, config.model, by_id[cid], config.local_epochs,
+    local_models = {cid: local_train(state.params, config.model, shards[cid - 1], config.local_epochs,
                                      config.batch_size, eta, substream(state.seed, "shuffle", t, cid))
                     for cid in active}
 
     contrastives: dict[int, float | None] = {}
     try:
         if align or fair:
-            embeddings = {cid: client_embedding(local_models[cid], config.model, by_id[cid])
+            embeddings = {cid: client_embedding(local_models[cid], config.model, shards[cid - 1])
                           for cid in active}
             z_global = global_embedding([embeddings[cid] for cid in active])
             similarities = {cid: cosine(embeddings[cid], z_global) for cid in active}
@@ -142,7 +143,7 @@ def run_round(state: RunState, config: ExperimentConfig, shards: list[Shard],
             # The ledger still records the round so participation accounting
             # stays comparable across algorithms; nothing reads a cache here.
             state.ledger.record_round(t, active)
-            sizes = {cid: len(by_id[cid].train) for cid in active}
+            sizes = {cid: len(shards[cid - 1].train) for cid in active}
             new_params = fedavg_aggregate(local_models, sizes)
         if not np.isfinite(new_params).all():
             bad = [cid for cid in active if not np.isfinite(local_models[cid]).all()]
@@ -180,9 +181,10 @@ def run_simulation(config: ExperimentConfig, shards: list[Shard] | None = None,
 
     ``shards`` may be injected (a sweep's one build for all its algorithms,
     tests); by default they are derived from the config seed. Injected
-    shards are checked once against the model here, so nothing further in
-    needs to check them. The evaluation plan is built once, before the
-    first round trains.
+    shards are taken in client-id order and checked once here, so nothing
+    further in needs to: ids 1..``config.clients`` once each, data that
+    fits the model, training rows in every shard. The evaluation plan is
+    built once, before the first round trains.
 
     After each round the ledger releases every cached gradient that no
     later round can reuse (``window_bound``). When checkpoints are written,
@@ -191,9 +193,19 @@ def run_simulation(config: ExperimentConfig, shards: list[Shard] | None = None,
     if shards is None:
         shards = build_shards(config)
     else:
+        shards = sorted(shards, key=lambda shard: shard.client_id)
+        ids, expected = [shard.client_id for shard in shards], range(1, config.clients + 1)
+        bad = set(expected).symmetric_difference(ids) | {a for a, b in zip(ids, ids[1:]) if a == b}
+        if bad:  # name the lowest id that is missing, repeated or extra
+            cid = min(bad)
+            kind = "missing" if cid not in ids else "repeated" if cid in expected else "extra"
+            raise ConfigError(f"injected shards need client ids 1..{config.clients} once each: "
+                              f"client {cid} is {kind}")
         for shard in shards:
             _check_fits(config.model, shard.train, f"client {shard.client_id} train")
             _check_fits(config.model, shard.test, f"client {shard.client_id} test")
+            if not len(shard.train):
+                raise ClientSkipped(f"client {shard.client_id} has no training data")
     plan = evaluation_plan(config.model, shards)
     state = RunState(0, initial_params(config), ParticipationLedger(), config.seed)
     reports: list[RoundReport] = []

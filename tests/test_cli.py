@@ -383,13 +383,13 @@ class TestCmdRun:
         cfg = config_from_dict({**SMALL, "clients": 6, "rounds": 3})
         shards = simulation.build_shards(cfg)[::-1]
         reports = simulation.run_simulation(cfg, shards=shards).reports
-        tested = [s.client_id for s in shards if len(s.test)]
-        assert reports[0].client_ids == tuple(tested) == tuple(sorted(tested, reverse=True))
+        tested = sorted(s.client_id for s in shards if len(s.test))
+        assert reports[0].client_ids == tuple(tested)
         write_outputs(tmp_path, cfg, "r", reports)
         rows = (tmp_path / "per_client_accuracy.csv").read_text().splitlines()[1:]
         got = [(int(t), int(cid), float(a)) for t, cid, a in (row.split(",") for row in rows)]
         want = [(r.round, cid, dict(zip(r.client_ids, r.accuracies))[cid])
-                for r in reports for cid in sorted(tested)]
+                for r in reports for cid in tested]
         assert got == want
 
 

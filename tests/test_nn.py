@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corefed.data import Dataset, Shard
-from corefed.errors import ClientSkipped
 from corefed.nn import (
     ModelSpec,
     backward,
@@ -215,12 +214,6 @@ class TestLocalTrain:
         sgd_step(expected, backward(expected, self.spec, first), 0.1)
         sgd_step(expected, backward(expected, self.spec, second), 0.1)
         np.testing.assert_array_equal(full, expected)
-
-    def test_empty_shard_raises_skip_signal(self):
-        empty = Dataset(np.empty((0, 3)), np.empty(0, dtype=np.int64), 2)
-        shard = Shard(client_id=9, train=empty, test=empty)
-        with pytest.raises(ClientSkipped):
-            local_train(self.params, self.spec, shard, 1, 4, 0.1, np.random.default_rng(0))
 
 
 class TestInitParams:

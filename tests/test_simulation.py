@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import math
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corefed import aggregation, embedding, simulation
+from corefed import aggregation, embedding, metrics, nn, simulation
 from corefed.aggregation import ParticipationLedger
 from corefed.config import ALGORITHMS, ExperimentConfig, SyntheticSource
 from corefed.data import Dataset, Shard, gen_synthetic
@@ -192,13 +193,47 @@ class TestEverySampledClientTrains:
         assert [s.client_id for s in shards] == list(range(1, clients + 1))
         assert all(len(s.train) for s in shards)
 
-    def test_injected_shard_without_training_data_stops_the_run(self):
+    def test_injected_shard_without_training_data_stops_the_run(self, monkeypatch):
         cfg = small_config(clients=3, online_per_round=3, rounds=1)
         shards = equal_shards(3, 8)
         no_train = shards[1].train.subset(np.empty(0, dtype=np.int64))
         shards[1] = Shard(client_id=2, train=no_train, test=shards[1].test)
+        trained = []
+        monkeypatch.setattr(simulation, "local_train", lambda *args: trained.append(args))
         with pytest.raises(ClientSkipped, match=r"client 2 has no training data"):
             run_simulation(cfg, shards=shards)
+        assert trained == []
+
+    @pytest.mark.parametrize("ids, message", [
+        ([1, 2, 3, 4], "client 5 is missing"),
+        ([1, 2, 2, 3, 4, 5, 6], "client 2 is repeated"),
+        ([1, 2, 3, 4, 5, 6, 7], "client 7 is extra"),
+        ([0, 1, 2, 3, 4, 5, 6], "client 0 is extra"),
+    ], ids=["missing", "repeated", "extra", "extra_below_one"])
+    def test_injected_shards_need_each_client_id_once(self, monkeypatch, ids, message):
+        # Every client a run scores must be one that it can sample and train.
+        cfg = small_config(clients=6, online_per_round=6, rounds=1)
+        pool = equal_shards(len(ids), 4)
+        shards = [dataclasses.replace(shard, client_id=cid) for shard, cid in zip(pool, ids)]
+        trained = []
+        monkeypatch.setattr(simulation, "local_train", lambda *args: trained.append(args))
+        with pytest.raises(ConfigError, match=rf"^injected shards need client ids 1\.\.6 "
+                                              rf"once each: {message}$"):
+            run_simulation(cfg, shards=shards)
+        assert trained == []
+
+    @given(data=st.data(), clients=st.integers(1, 6), rounds=st.integers(1, 3),
+           online=st.floats(0.1, 1.0), seed=st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_injected_shards_in_any_order_give_the_built_run(self, data, clients, rounds,
+                                                             online, seed):
+        cfg = small_config(clients=clients, rounds=rounds, online_per_round=online, seed=seed)
+        shards = data.draw(st.permutations(build_shards(cfg)))
+        for algorithm in ALGORITHMS:
+            run_cfg = dataclasses.replace(cfg, algorithm=algorithm)
+            built, injected = run_simulation(run_cfg), run_simulation(run_cfg, shards=shards)
+            assert injected.reports == built.reports
+            assert injected.final_params.tobytes() == built.final_params.tobytes()
 
     @pytest.mark.parametrize("part", ["train", "test"])
     def test_injected_shard_wider_than_the_model_is_rejected(self, part):
@@ -225,7 +260,12 @@ class TestEverySampledClientTrains:
         (np.zeros((2, 6)), np.array([0, 3]), r"^client 2 train labels must lie in \[0, 3\)$"),
         (np.zeros((3, 6)), np.array([0, 1]), r"^client 2 train data needs one label per row"),
         (np.zeros(6), np.array([0]), r"^client 2 train data needs one label per row"),
-    ], ids=["negative_label", "label_past_num_classes", "length_mismatch", "one_dimensional"])
+        (np.zeros((2, 6)), np.array([0.0, 1.0]),
+         r"^client 2 train labels must be integers, not float64$"),
+        (np.zeros((2, 6)), np.array([False, True]),
+         r"^client 2 train labels must be integers, not bool$"),
+    ], ids=["negative_label", "label_past_num_classes", "length_mismatch", "one_dimensional",
+            "float_labels", "bool_labels"])
     def test_injected_shard_breaking_the_dataset_rule_is_rejected_before_training(
             self, monkeypatch, inputs, labels, message):
         # Dataset checks nothing itself: _check_fits is the one check on injected data
@@ -254,6 +294,20 @@ class TestEverySampledClientTrains:
         (report,) = run_simulation(small_config(tau_c=2e-308, rounds=1)).reports
         assert report.contrastive_losses
         assert all(math.isfinite(loss) for loss in report.contrastive_losses.values())
+
+
+class TestInputRulesStayInSetUp:
+    # Config and data rules are checked once, where the input enters; the
+    # modules that train, embed, aggregate and score trust what they get.
+    @pytest.mark.parametrize("module", [nn, embedding, aggregation, metrics],
+                             ids=lambda module: module.__name__)
+    def test_inner_modules_raise_no_input_error(self, module):
+        raised = set()
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", None) or getattr(exc, "attr", None))
+        assert raised & {"ConfigError", "ClientSkipped"} == set()
 
 
 class TestRunExperiment:
