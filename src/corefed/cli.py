@@ -97,10 +97,12 @@ def write_outputs(run_dir: Path, cfg: ExperimentConfig, run_id: str,
     lines = [ROUNDS_HEADER] + [_round_row(r) for r in reports]
     _write_text(run_dir / "rounds.csv", "\n".join(lines) + "\n")
 
+    # a run repeats few accuracies; each is hits / size, never a -0.0 that 0.0's key would take
+    text = {value: _fmt(value) for report in reports for value in set(report.accuracies)}
     acc_lines = ["round,client_id,accuracy"]
     for report in reports:  # the evaluation plan's client ids ascend
         for cid, accuracy in zip(report.client_ids, report.accuracies):
-            acc_lines.append(f"{report.round},{cid},{_fmt(accuracy)}")
+            acc_lines.append(f"{report.round},{cid},{text[accuracy]}")
     _write_text(run_dir / "per_client_accuracy.csv", "\n".join(acc_lines) + "\n")
 
     final = None

@@ -25,6 +25,7 @@ IDX3_MAGIC = 0x00000803
 IDX1_MAGIC = 0x00000801
 
 _PARTITION_RETRIES = 100
+_UNCHECKED_READ = 1 << 20  # bytes
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ class Dataset:
     def input_dim(self) -> int:
         return self.inputs.shape[1]
 
-    def subset(self, indices: np.ndarray) -> "Dataset":
+    def subset(self, indices: np.ndarray | slice) -> "Dataset":
         return Dataset(self.inputs[indices], self.labels[indices], self.num_classes)
 
 
@@ -94,13 +95,15 @@ def gen_synthetic(num_classes: int, input_dim: int, n: int, seed: int) -> Datase
 
 
 def read_exact(fh, nbytes: int, path, what: str) -> bytes:
-    """The next ``nbytes`` of ``fh``, the file at ``path``: every binary input is read here,
-    and a size below 0 or past the bytes left raises TruncatedFileError before any read."""
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    """The next ``nbytes`` of ``fh``, the buffered file at ``path``: every binary input is read here,
+    and a size below 0 or past the bytes left raises TruncatedFileError. Only a size over 1 MiB costs
+    a size check before the read, which no smaller read needs: it comes back short only at the end."""
+    checked = not 0 <= nbytes <= _UNCHECKED_READ
+    left = os.fstat(fh.fileno()).st_size - fh.tell() if checked else nbytes
     data = fh.read(nbytes) if 0 <= nbytes <= left else b""
     if len(data) != nbytes:
         raise TruncatedFileError(f"{path}: truncated while reading {what} "
-                                 f"(wanted {nbytes} bytes, {left} left)")
+                                 f"(wanted {nbytes} bytes, {left if checked else len(data)} left)")
     return data
 
 

@@ -13,6 +13,7 @@ to ``client_embedding`` has already trained this round.
 from __future__ import annotations
 
 import logging
+import math
 from itertools import combinations
 
 import numpy as np
@@ -34,17 +35,18 @@ def client_embedding(params: np.ndarray, spec: ModelSpec, shard: Shard) -> np.nd
     is dead on this client's data, and NumericalError names the client.
     """
     features, _ = forward(params, spec, shard.train)
-    norms = np.linalg.norm(features, axis=1)
+    norms = np.sqrt(np.add.reduce(features * features, axis=1))  # np.linalg.norm's formula
     usable = norms >= _NORM_EPS
-    skipped = int((~usable).sum())
-    if not usable.any():
+    count = np.count_nonzero(usable)
+    if not count:
         raise NumericalError(f"client {shard.client_id}: all {len(norms)} sample embeddings "
                              f"are degenerate (dead last hidden layer)")
-    if skipped:
+    if count < len(norms):
         logger.warning("client %d: skipped %d/%d near-zero sample embeddings",
-                       shard.client_id, skipped, len(norms))
-    unit = features[usable] / norms[usable, None]
-    return unit.mean(axis=0)
+                       shard.client_id, len(norms) - count, len(norms))
+        features, norms = features[usable], norms[usable]
+    features /= norms[:, None]
+    return np.add.reduce(features, axis=0) / count  # ndarray.mean's sum, then its division
 
 
 def global_embedding(embeddings: list[np.ndarray]) -> np.ndarray:
@@ -52,13 +54,14 @@ def global_embedding(embeddings: list[np.ndarray]) -> np.ndarray:
     return np.stack(embeddings).mean(axis=0)
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity clamped to [-1, 1]; 0 when either input is near-zero."""
-    norm_a = np.linalg.norm(a)
-    norm_b = np.linalg.norm(b)
+def cosine(a: np.ndarray, b: np.ndarray, norm_a=None, norm_b=None) -> float:
+    """Cosine similarity clamped to [-1, 1] (NaN passes); 0 when either input is near-zero.
+    ``norm_a``/``norm_b``, when given, are ``np.linalg.norm``'s root of ``a.dot(a)``/``b.dot(b)``."""
+    norm_a = math.sqrt(a.dot(a)) if norm_a is None else norm_a
+    norm_b = math.sqrt(b.dot(b)) if norm_b is None else norm_b
     if norm_a < _NORM_EPS or norm_b < _NORM_EPS:
         return 0.0
-    return float(np.clip(np.dot(a, b) / (norm_a * norm_b), -1.0, 1.0))
+    return float(min(max(a.dot(b) / (norm_a * norm_b), -1.0), 1.0))
 
 
 def contrastive_loss(positive: float, negatives: list[float], tau_c: float) -> float | None:
@@ -96,13 +99,14 @@ def build_alignment_records(embeddings: dict[int, np.ndarray], to_global: dict[i
     For each participant: alignment vector, distilled embedding and the
     refined-vs-global similarity used by the aggregation weights, plus the
     contrastive diagnostic. Each cosine between two embeddings is computed
-    once (``cosine`` is symmetric), and a client's negatives follow the
-    order of ``embeddings``. Returns (similarities, contrastive losses),
+    once (``cosine`` is symmetric), and so is each norm; a client's negatives
+    follow the order of ``embeddings``. Returns (similarities, contrastive losses),
     both keyed by client id in ascending order.
     """
+    norms = {cid: math.sqrt(z.dot(z)) for cid, z in embeddings.items()}
     between = {}
     for a, b in combinations(embeddings, 2):
-        between[a, b] = between[b, a] = cosine(embeddings[a], embeddings[b])
+        between[a, b] = between[b, a] = cosine(embeddings[a], embeddings[b], norms[a], norms[b])
     similarities, losses = {}, {}
     for cid in sorted(embeddings):
         raw = embeddings[cid]

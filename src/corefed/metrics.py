@@ -127,14 +127,14 @@ def fairness_summary(local_models: dict[int, np.ndarray],
     has no angle and is skipped from the angular mean only; that mean is NaN
     when every client is skipped.
     """
-    global_norm = np.linalg.norm(global_params)
+    global_norm = math.sqrt(global_params.dot(global_params))  # np.linalg.norm's formula
     cosines = []
     manhattans = []
     for params in local_models.values():
-        norm = np.linalg.norm(params)
+        norm = math.sqrt(params.dot(params))
         if not (norm < _NORM_EPS or global_norm < _NORM_EPS):
-            cosine = np.dot(params, global_params) / (norm * global_norm)
-            cosines.append(float(np.arccos(np.clip(cosine, -1.0, 1.0))))
-        manhattans.append(float(np.abs(params - global_params).sum()))
-    cos_mean = float(np.mean(cosines)) if cosines else math.nan
-    return cos_mean, float(np.mean(manhattans))
+            cosine = params.dot(global_params) / (norm * global_norm)
+            cosines.append(float(np.arccos(min(max(cosine, -1.0), 1.0))))
+        manhattans.append(float(np.add.reduce(np.abs(params - global_params))))
+    cos_mean = float(np.add.reduce(cosines) / len(cosines)) if cosines else math.nan
+    return cos_mean, float(np.add.reduce(manhattans) / len(manhattans))  # as np.mean does

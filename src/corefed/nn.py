@@ -125,10 +125,10 @@ def backward(params: np.ndarray, spec: ModelSpec, batch: Dataset,
     delta = activations[-1] @ w_out
     delta += b_out
 
-    # softmax in place on the logits, then d(loss)/d(logits)
-    delta -= delta.max(axis=1, keepdims=True)
+    # softmax in place on the logits, then d(loss)/d(logits); ndarray.max/.sum wrap these reductions
+    delta -= np.maximum.reduce(delta, axis=1, keepdims=True)
     np.exp(delta, out=delta)
-    delta /= delta.sum(axis=1, keepdims=True)
+    delta /= np.add.reduce(delta, axis=1, keepdims=True)
     delta[np.arange(n), batch.labels] -= 1.0
     delta /= n
 
@@ -140,7 +140,7 @@ def backward(params: np.ndarray, spec: ModelSpec, batch: Dataset,
             delta *= activations[layer_index + 1] > 0.0
         gw, gb = grads[layer_index]
         np.matmul(activations[layer_index].T, delta, out=gw)
-        delta.sum(axis=0, out=gb)
+        np.add.reduce(delta, axis=0, out=gb)
     return grad
 
 
@@ -154,16 +154,16 @@ def local_train(params: np.ndarray, spec: ModelSpec, shard: Shard, epochs: int,
                 batch_size: int, lr: float, rng: np.random.Generator) -> np.ndarray:
     """Mini-batch SGD over a seeded shuffle of the shard's training data.
 
-    Runs ``epochs`` full passes; the last partial batch is trained on, not
-    dropped. A fixed ``rng`` state makes the result bitwise reproducible.
-    Returns a new vector and leaves ``params`` unchanged.
+    Runs ``epochs`` passes, each in row-view minibatches of one shuffled copy of
+    the shard; the last partial batch is trained on, not dropped. A fixed ``rng``
+    state makes the result bitwise reproducible. Returns a new vector.
     """
     n = len(shard.train)
     current = params.copy()
     grad = np.empty_like(current)
     for _ in range(epochs):
-        order = rng.permutation(n)
+        shuffled = shard.train.subset(rng.permutation(n))
         for start in range(0, n, batch_size):
-            batch = shard.train.subset(order[start : start + batch_size])
+            batch = shuffled.subset(slice(start, start + batch_size))
             sgd_step(current, backward(current, spec, batch, grad), lr)
     return current

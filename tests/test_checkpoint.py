@@ -770,6 +770,22 @@ class TestFileRanges:
         atomic_write(tmp_path / "out.bin", [FileRange(source, 3, 200)])
         assert (tmp_path / "out.bin").read_bytes() == bytes(range(3, 203))
 
+    def test_blocks_cost_no_size_check(self, tmp_path, monkeypatch):
+        # A block read that comes back short is the end of the file, so asking
+        # the system for the file's size once a block only repeats that check.
+        source = tmp_path / "source.bin"
+        source.write_bytes(bytes(range(256)))
+        sizes = []
+        monkeypatch.setattr(os, "fstat", lambda fd, real=os.fstat: sizes.append(fd) or real(fd))
+        monkeypatch.setattr(checkpoint, "_COPY_BLOCK", 7)
+        atomic_write(tmp_path / "out.bin", [FileRange(source, 3, 200), FileRange(source, 0, 10)])
+        assert (tmp_path / "out.bin").read_bytes() == bytes(range(3, 203)) + bytes(range(10))
+        assert sizes == []
+        message = re.escape(f"{source}: truncated while reading the cached gradient records at "
+                            f"bytes 250-260 (wanted 7 bytes, 6 left)")
+        with pytest.raises(TruncatedFileError, match=message):
+            atomic_write(tmp_path / "out.bin", [FileRange(source, 250, 10)])
+
     def test_a_range_past_the_end_fails_and_keeps_the_old_file(self, tmp_path):
         source = tmp_path / "source.bin"
         source.write_bytes(bytes(20))

@@ -1,8 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from corefed import embedding
@@ -65,6 +66,36 @@ class TestClientEmbedding:
             client_embedding(np.full(self.spec.num_params(), np.nan), self.spec, shard)
 
 
+def linalg_client_embedding(features):
+    """``client_embedding``'s arithmetic through ``np.linalg.norm``, a boolean-mask copy
+    and ``ndarray.mean``, kept as the bitwise reference for its direct ufunc calls."""
+    norms = np.linalg.norm(features, axis=1)
+    usable = norms >= _NORM_EPS
+    return (features[usable] / norms[usable, None]).mean(axis=0)
+
+
+# Rows by their norm: usable, exactly zero, below _NORM_EPS, just above it, not a number.
+ROW_SCALES = {"unit": 1.0, "zero": 0.0, "near-zero": 1e-14, "just-usable": 1e-12, "nan": math.nan}
+
+
+class TestClientEmbeddingArithmetic:
+    @given(kinds=st.lists(st.sampled_from(sorted(ROW_SCALES)), min_size=1, max_size=30),
+           width=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+    @example(kinds=["unit"], width=3, seed=0)
+    @example(kinds=["zero", "nan", "just-usable", "near-zero"], width=5, seed=1)
+    @settings(max_examples=200, deadline=None)
+    def test_same_bits_as_linalg_norm_and_mean(self, kinds, width, seed):
+        assume(any(kind in ("unit", "just-usable") for kind in kinds))
+        rng = np.random.default_rng(seed)
+        features = rng.uniform(1.0, 2.0, size=(len(kinds), width))
+        features *= rng.choice([-1.0, 1.0], size=features.shape)
+        features *= np.array([ROW_SCALES[kind] for kind in kinds])[:, None]
+        expected = linalg_client_embedding(features)
+        with mock.patch.object(embedding, "forward", lambda *args: (features.copy(), None)):
+            z = client_embedding(None, None, shard_with(np.zeros((len(kinds), 1)), [0] * len(kinds)))
+        assert z.tobytes() == expected.tobytes()
+
+
 class TestGlobalEmbedding:
     def test_single_client_passthrough(self):
         z = np.array([0.2, -0.4])
@@ -111,6 +142,51 @@ class TestCosine:
         assume((np.linalg.norm(v) < _NORM_EPS) == (np.linalg.norm(scale * v) < _NORM_EPS))
         w = np.roll(v, 1) + 0.5
         assert cosine(scale * v, w) == pytest.approx(cosine(v, w), abs=1e-9)
+
+
+def linalg_cosine(a, b):
+    """``cosine`` through ``np.linalg.norm`` and ``np.clip``, kept as its bitwise reference."""
+    norm_a = np.linalg.norm(a)
+    norm_b = np.linalg.norm(b)
+    if norm_a < _NORM_EPS or norm_b < _NORM_EPS:
+        return 0.0
+    return float(np.clip(np.dot(a, b) / (norm_a * norm_b), -1.0, 1.0))
+
+
+@st.composite
+def vector_pairs(draw):
+    """Two vectors of one width: unrelated, (anti)parallel, zero, tiny or holding a NaN."""
+    width = draw(st.integers(1, 12))
+    a = np.array(draw(st.lists(st.floats(-100, 100), min_size=width, max_size=width)))
+    relation = draw(st.sampled_from(["unrelated", "parallel", "antiparallel", "same", "zero",
+                                     "tiny", "nan"]))
+    b = np.array(draw(st.lists(st.floats(-100, 100), min_size=width, max_size=width)))
+    scale = draw(st.floats(1e-3, 1e3))
+    if relation == "parallel":
+        b = scale * a
+    elif relation == "antiparallel":
+        b = -scale * a
+    elif relation == "same":
+        b = a.copy()
+    elif relation == "zero":
+        b = np.zeros(width)
+    elif relation == "tiny":
+        b *= 1e-14
+    elif relation == "nan":
+        b[draw(st.integers(0, width - 1))] = math.nan
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+class TestCosineArithmetic:
+    @given(vector_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_same_bits_as_linalg_norm_and_clip(self, pair):
+        a, b = pair
+        expected = np.float64(linalg_cosine(a, b)).tobytes()
+        assert np.float64(cosine(a, b)).tobytes() == expected
+        # the norms build_alignment_records passes, taken once per embedding
+        given_norms = cosine(a, b, math.sqrt(a.dot(a)), math.sqrt(b.dot(b)))
+        assert np.float64(given_norms).tobytes() == expected
 
 
 class TestContrastiveLoss:
@@ -220,6 +296,6 @@ class TestAlignmentRecords:
         z_global = global_embedding(list(embeddings.values()))
         to_global = raw_similarities(embeddings, z_global)
         calls = []
-        monkeypatch.setattr(embedding, "cosine", lambda a, b: calls.append(1) or cosine(a, b))
+        monkeypatch.setattr(embedding, "cosine", lambda *args: calls.append(1) or cosine(*args))
         build_alignment_records(embeddings, to_global, z_global, beta=0.5, tau_c=0.07)
         assert len(calls) == 4 + 6

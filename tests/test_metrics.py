@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corefed.data import Dataset, Shard
+from corefed.embedding import _NORM_EPS
 from corefed.errors import MeasurementError, NumericalError
 from corefed import simulation
 from corefed.config import ExperimentConfig, SyntheticSource
@@ -350,6 +351,43 @@ class TestFairnessSummary:
         expected_man = (1.0 + 1.0 + 2.0) / 3
         assert d_cos == pytest.approx(expected_cos, abs=1e-12)
         assert d_man == pytest.approx(expected_man, abs=1e-12)
+
+
+def linalg_fairness_summary(local_models, global_params):
+    """``fairness_summary`` through ``np.linalg.norm``, ``np.clip``, ``ndarray.sum`` and
+    ``np.mean``, kept as the bitwise reference for its direct ufunc calls."""
+    global_norm = np.linalg.norm(global_params)
+    cosines = []
+    manhattans = []
+    for params in local_models.values():
+        norm = np.linalg.norm(params)
+        if not (norm < _NORM_EPS or global_norm < _NORM_EPS):
+            cosine = np.dot(params, global_params) / (norm * global_norm)
+            cosines.append(float(np.arccos(np.clip(cosine, -1.0, 1.0))))
+        manhattans.append(float(np.abs(params - global_params).sum()))
+    cos_mean = float(np.mean(cosines)) if cosines else math.nan
+    return cos_mean, float(np.mean(manhattans))
+
+
+class TestFairnessSummaryArithmetic:
+    @given(kinds=st.lists(st.sampled_from(["random", "zero", "global", "parallel", "opposite"]),
+                          min_size=1, max_size=7),
+           global_kind=st.sampled_from(["random", "random", "zero"]), width=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1))
+    @example(kinds=["zero", "zero"], global_kind="random", width=3, seed=0)
+    @example(kinds=["random", "global"], global_kind="zero", width=5, seed=1)
+    @settings(max_examples=200, deadline=None)
+    def test_same_bits_as_linalg_norm_clip_and_mean(self, kinds, global_kind, width, seed):
+        rng = np.random.default_rng(seed)
+        global_params = rng.normal(size=width) if global_kind == "random" else np.zeros(width)
+        made = {"random": lambda: rng.normal(size=width), "zero": lambda: np.zeros(width),
+                "global": global_params.copy,
+                "parallel": lambda: rng.uniform(0.1, 10.0) * global_params,
+                "opposite": lambda: -rng.uniform(0.1, 10.0) * global_params}
+        local_models = {cid: made[kind]() for cid, kind in enumerate(kinds, start=1)}
+        got = np.array(fairness_summary(local_models, global_params))
+        expected = np.array(linalg_fairness_summary(local_models, global_params))
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestRoundReport:

@@ -275,6 +275,39 @@ def oracle_local_train(params, spec, shard, epochs, batch_size, lr, rng):
     return current
 
 
+def copy_per_batch_local_train(params, spec, shard, epochs, batch_size, lr, rng):
+    """``local_train`` with a fancy-indexed copy of every minibatch, kept as the bitwise
+    reference for its row views of one shuffled copy per epoch."""
+    current = params.copy()
+    grad = np.empty_like(current)
+    for _ in range(epochs):
+        order = rng.permutation(len(shard.train))
+        for start in range(0, len(shard.train), batch_size):
+            batch = shard.train.subset(order[start : start + batch_size])
+            sgd_step(current, backward(current, spec, batch, grad), lr)
+    return current
+
+
+class TestRowViewMinibatches:
+    # Odd widths put most row views off a 64-byte boundary; a view and a copy
+    # of the same rows must still give BLAS the same products.
+    @given(input_dim=st.integers(1, 40), hidden=st.lists(st.integers(1, 9), min_size=1, max_size=2),
+           classes=st.integers(1, 5), n=st.integers(1, 60), batch_size=st.integers(1, 17),
+           epochs=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_same_bits_as_a_copy_per_minibatch(self, input_dim, hidden, classes, n, batch_size,
+                                               epochs, seed):
+        rng = np.random.default_rng(seed)
+        spec = ModelSpec(input_dim, tuple(hidden), classes)
+        params = rng.normal(0.0, 1.0, spec.num_params())
+        shard = make_shard(rng.uniform(size=(n, input_dim)), rng.integers(0, classes, size=n), classes)
+        trained = local_train(params, spec, shard, epochs, batch_size, 0.05,
+                              np.random.default_rng(seed))
+        expected = copy_per_batch_local_train(params, spec, shard, epochs, batch_size, 0.05,
+                                              np.random.default_rng(seed))
+        assert trained.tobytes() == expected.tobytes()
+
+
 class TestKernelsMatchOutOfPlaceOracle:
     @given(input_dim=st.integers(1, 12),
            hidden=st.lists(st.integers(1, 16), min_size=1, max_size=3),

@@ -25,6 +25,7 @@ from corefed.simulation import (
     run_simulation,
     sample_clients,
 )
+from tests.test_data import attribute_users
 
 
 def small_config(**overrides):
@@ -155,9 +156,9 @@ class TestRunRound:
         # with align its refined one; per unordered pair with align: one
         calls = []
 
-        def counted(a, b):
+        def counted(*args):
             calls.append(1)
-            return cosine(a, b)
+            return cosine(*args)
 
         monkeypatch.setattr(simulation, "cosine", counted)
         monkeypatch.setattr(embedding, "cosine", counted)
@@ -308,6 +309,20 @@ class TestInputRulesStayInSetUp:
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 raised.add(getattr(exc, "id", None) or getattr(exc, "attr", None))
         assert raised & {"ConfigError", "ClientSkipped"} == set()
+
+
+class TestRoundKernelsCallUfuncsDirectly:
+    # The round's per-sample and per-client paths call the ufunc reductions and
+    # the dot products behind numpy's Python-level wrappers themselves, which
+    # keeps every bit and skips the wrappers' per-call cost on arrays of a few rows.
+    KERNELS = {("nn.py", "backward"), ("nn.py", "local_train"),
+               ("embedding.py", "client_embedding"), ("embedding.py", "cosine"),
+               ("embedding.py", "build_alignment_records"), ("metrics.py", "fairness_summary")}
+
+    def test_no_kernel_names_a_numpy_wrapper(self):
+        modules = {"nn.py": nn, "embedding.py": embedding, "metrics.py": metrics}
+        assert all(callable(getattr(modules[module], name, None)) for module, name in self.KERNELS)
+        assert attribute_users({"linalg", "clip", "mean", "sum", "max"}) & self.KERNELS == set()
 
 
 class TestRunExperiment:
