@@ -98,12 +98,15 @@ def write_outputs(run_dir: Path, cfg: ExperimentConfig, run_id: str,
     _write_text(run_dir / "rounds.csv", "\n".join(lines) + "\n")
 
     # a run repeats few accuracies; each is hits / size, never a -0.0 that 0.0's key would take
-    text = {value: _fmt(value) for report in reports for value in set(report.accuracies)}
-    acc_lines = ["round,client_id,accuracy"]
+    text = {value: _fmt(value) + "\n" for report in reports for value in set(report.accuracies)}
+    middles = {ids: [f",{cid}," for cid in ids] for ids in {r.client_ids for r in reports}}
+    blocks = ["round,client_id,accuracy\n"]
     for report in reports:  # the evaluation plan's client ids ascend
-        for cid, accuracy in zip(report.client_ids, report.accuracies):
-            acc_lines.append(f"{report.round},{cid},{text[accuracy]}")
-    _write_text(run_dir / "per_client_accuracy.csv", "\n".join(acc_lines) + "\n")
+        row = [str(report.round)] * (3 * len(report.client_ids))  # round, ",cid,", accuracy
+        row[1::3] = middles[report.client_ids]
+        row[2::3] = map(text.__getitem__, report.accuracies)
+        blocks.append("".join(row))
+    _write_text(run_dir / "per_client_accuracy.csv", "".join(blocks))
 
     final = None
     if reports:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, PartitionError, TruncatedFileError
+from .errors import FormatError, TruncatedFileError
 from .rng import substream
 
 IDX3_MAGIC = 0x00000803
@@ -152,13 +152,13 @@ def _largest_remainder(proportions: np.ndarray, total: int) -> np.ndarray:
     return counts
 
 
-def dirichlet_partition(dataset: Dataset, m: int, alpha: float, seed: int) -> PartitionPlan:
+def dirichlet_partition(dataset: Dataset, m: int, alpha: float, seed: int) -> PartitionPlan | None:
     """Assign samples to m clients by per-class Dirichlet(alpha) proportions.
 
     For each class, client proportions are drawn from Dirichlet(alpha * 1_m)
     and the class's samples are allocated by largest-remainder rounding. A
-    plan that leaves any client empty is redrawn (up to a bounded number of
-    attempts).
+    plan that leaves any client empty is redrawn, up to ``_PARTITION_RETRIES``
+    times; None when no draw gives every client a sample.
     """
     rng = np.random.default_rng(seed)
     classes = [np.flatnonzero(dataset.labels == c) for c in range(dataset.num_classes)]
@@ -170,8 +170,7 @@ def dirichlet_partition(dataset: Dataset, m: int, alpha: float, seed: int) -> Pa
             assignment[shuffled] = np.repeat(np.arange(m), counts)
         if np.bincount(assignment, minlength=m).all():
             return PartitionPlan(num_clients=m, seed=seed, assignment=assignment)
-    raise PartitionError(f"no partition gave every client data after {_PARTITION_RETRIES} attempts "
-                         f"(m={m}, alpha={alpha}, n={len(dataset)})")
+    return None
 
 
 def split_test(dataset: Dataset, plan: PartitionPlan, test_fraction: float) -> list[Shard]:

@@ -51,7 +51,7 @@ def client_embedding(params: np.ndarray, spec: ModelSpec, shard: Shard) -> np.nd
 
 def global_embedding(embeddings: list[np.ndarray]) -> np.ndarray:
     """Arithmetic mean of the participating clients' embeddings."""
-    return np.stack(embeddings).mean(axis=0)
+    return np.add.reduce(np.stack(embeddings), axis=0) / len(embeddings)  # ndarray.mean's steps
 
 
 def cosine(a: np.ndarray, b: np.ndarray, norm_a=None, norm_b=None) -> float:
@@ -75,8 +75,8 @@ def contrastive_loss(positive: float, negatives: list[float], tau_c: float) -> f
     if not negatives:
         return None
     scaled = np.array(negatives) / tau_c
-    peak = scaled.max()
-    log_denominator = peak + np.log(np.exp(scaled - peak).sum())
+    peak = np.maximum.reduce(scaled)
+    log_denominator = peak + np.log(np.add.reduce(np.exp(scaled - peak)))
     return float(log_denominator - positive / tau_c)
 
 

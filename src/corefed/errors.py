@@ -13,20 +13,12 @@ class TruncatedFileError(OSError):
     """A binary file ended before its declared payload."""
 
 
-class PartitionError(RuntimeError):
-    """Dirichlet partitioning could not satisfy its constraints."""
-
-
-class MeasurementError(RuntimeError):
-    """A metric is undefined: ``evaluation_plan`` found no test slice to score."""
-
-
 class InvariantError(RuntimeError):
     """An internal invariant was violated; indicates a bug, not bad input."""
 
 
 class ClientSkipped(RuntimeError):
-    """A client could never train: its injected shard has no training data."""
+    """Raised nowhere (an empty shard is a ConfigError); ``perfbench/tracer.py`` imports it."""
 
 
 class NumericalError(RuntimeError):

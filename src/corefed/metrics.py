@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, Shard
-from .embedding import _NORM_EPS
-from .errors import MeasurementError, NumericalError
+from .embedding import _NORM_EPS, cosine
+from .errors import NumericalError
 from .nn import ModelSpec, forward
 
 
@@ -40,7 +40,7 @@ class RoundReport:
     @property
     def mean_contrastive_loss(self) -> float:
         values = [v for v in self.contrastive_losses.values() if v is not None]
-        return float(np.mean(values)) if values else math.nan
+        return float(np.add.reduce(values) / len(values)) if values else math.nan
 
 
 @dataclass(frozen=True)
@@ -84,12 +84,10 @@ def _joined(parts: list[np.ndarray]) -> np.ndarray:
 def evaluation_plan(spec: ModelSpec, shards: list[Shard]) -> EvaluationPlan:
     """Build the plan ``evaluate_accuracy`` scores each round against.
 
-    Clients with empty test slices are left out. Raises MeasurementError when
-    no shard has a non-empty test slice, since no round could be scored.
+    Clients with empty test slices are left out; at least one shard has a
+    test row (``run_simulation`` checks it).
     """
     tested = [shard for shard in shards if len(shard.test)]
-    if not tested:
-        raise MeasurementError("no shard has a non-empty test slice")
     data = Dataset(_joined([shard.test.inputs for shard in tested]),
                    _joined([shard.test.labels for shard in tested]), spec.num_classes)
     sizes = np.array([len(shard.test) for shard in tested])
@@ -108,13 +106,13 @@ def evaluate_accuracy(global_params: np.ndarray, spec: ModelSpec,
     """
     embeddings, logits = forward(global_params, spec, plan.data)
     # a live model settles on its first row; only a dying one reads every row
-    if not (embeddings[0].max() > 0.0 or embeddings.max() > 0.0):
+    if not (np.maximum.reduce(embeddings[0]) > 0.0 or np.maximum.reduce(embeddings, axis=None) > 0.0):
         raise NumericalError(f"global model: last hidden layer is dead on all "
                              f"{len(embeddings)} test rows")
     hits = np.add.reduceat(logits.argmax(axis=1) == plan.data.labels, plan.starts,
                            dtype=np.int64)
     accuracies = hits / plan.sizes
-    return float(np.mean(accuracies)), array("d", accuracies.tobytes())
+    return float(np.add.reduce(accuracies) / len(accuracies)), array("d", accuracies.tobytes())
 
 
 def fairness_summary(local_models: dict[int, np.ndarray],
@@ -133,8 +131,7 @@ def fairness_summary(local_models: dict[int, np.ndarray],
     for params in local_models.values():
         norm = math.sqrt(params.dot(params))
         if not (norm < _NORM_EPS or global_norm < _NORM_EPS):
-            cosine = params.dot(global_params) / (norm * global_norm)
-            cosines.append(float(np.arccos(min(max(cosine, -1.0), 1.0))))
+            cosines.append(float(np.arccos(cosine(params, global_params, norm, global_norm))))
         manhattans.append(float(np.add.reduce(np.abs(params - global_params))))
     cos_mean = float(np.add.reduce(cosines) / len(cosines)) if cosines else math.nan
     return cos_mean, float(np.add.reduce(manhattans) / len(manhattans))  # as np.mean does

@@ -24,8 +24,9 @@ from .aggregation import (
 from .checkpoint import save_ledger, write_vector
 from .config import ALGORITHMS, ExperimentConfig, SyntheticSource, lr_schedule
 from .data import Dataset, Shard, dirichlet_partition, gen_synthetic, load_idx, split_test
+from .data import _PARTITION_RETRIES
 from .embedding import build_alignment_records, client_embedding, cosine, global_embedding
-from .errors import ClientSkipped, ConfigError, NumericalError
+from .errors import ConfigError, NumericalError
 from .metrics import (
     EvaluationPlan,
     RoundReport,
@@ -92,6 +93,9 @@ def build_shards(config: ExperimentConfig) -> list[Shard]:
                               f"{len(dataset)} loaded samples: every client needs one")
     plan = dirichlet_partition(dataset, config.clients, config.dirichlet_alpha,
                                seed=derive_seed(config.seed, "partition"))
+    if plan is None:
+        raise ConfigError(f"no partition gave every client data after {_PARTITION_RETRIES} attempts "
+                          f"(m={config.clients}, alpha={config.dirichlet_alpha}, n={len(dataset)})")
     return split_test(dataset, plan, config.test_fraction)
 
 
@@ -183,8 +187,9 @@ def run_simulation(config: ExperimentConfig, shards: list[Shard] | None = None,
     tests); by default they are derived from the config seed. Injected
     shards are taken in client-id order and checked once here, so nothing
     further in needs to: ids 1..``config.clients`` once each, data that
-    fits the model, training rows in every shard. The evaluation plan is
-    built once, before the first round trains.
+    fits the model, training rows in every shard. Built or injected, some
+    shard must hold a test row; the evaluation plan is built once from
+    them. Each rule raises ConfigError before the first round trains.
 
     After each round the ledger releases every cached gradient that no
     later round can reuse (``window_bound``). When checkpoints are written,
@@ -205,7 +210,9 @@ def run_simulation(config: ExperimentConfig, shards: list[Shard] | None = None,
             _check_fits(config.model, shard.train, f"client {shard.client_id} train")
             _check_fits(config.model, shard.test, f"client {shard.client_id} test")
             if not len(shard.train):
-                raise ClientSkipped(f"client {shard.client_id} has no training data")
+                raise ConfigError(f"client {shard.client_id} has no training data")
+    if not any(len(shard.test) for shard in shards):
+        raise ConfigError("no shard has a non-empty test slice")
     plan = evaluation_plan(config.model, shards)
     state = RunState(0, initial_params(config), ParticipationLedger(), config.seed)
     reports: list[RoundReport] = []

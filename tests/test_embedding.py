@@ -110,6 +110,17 @@ class TestGlobalEmbedding:
                                    [0.5, 0.5], rtol=1e-15)
 
 
+class TestGlobalEmbeddingArithmetic:
+    @given(count=st.integers(1, 12), width=st.integers(1, 20),
+           scale=st.sampled_from([1.0, 1e-14, 1e150, 0.0]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_same_bits_as_ndarray_mean(self, count, width, scale, seed):
+        rng = np.random.default_rng(seed)
+        embeddings = [scale * rng.normal(size=width) for _ in range(count)]
+        expected = np.stack(embeddings).mean(axis=0)
+        assert global_embedding(embeddings).tobytes() == expected.tobytes()
+
+
 class TestCosine:
     def test_self_similarity_is_one(self):
         v = np.array([0.3, -0.7, 0.1])
@@ -187,6 +198,28 @@ class TestCosineArithmetic:
         # the norms build_alignment_records passes, taken once per embedding
         given_norms = cosine(a, b, math.sqrt(a.dot(a)), math.sqrt(b.dot(b)))
         assert np.float64(given_norms).tobytes() == expected
+
+
+def wrapper_contrastive_loss(positive, negatives, tau_c):
+    """``contrastive_loss`` through ``ndarray.max`` and ``ndarray.sum``, kept as its
+    bitwise reference."""
+    if not negatives:
+        return None
+    scaled = np.array(negatives) / tau_c
+    peak = scaled.max()
+    return float(peak + np.log(np.exp(scaled - peak).sum()) - positive / tau_c)
+
+
+class TestContrastiveLossArithmetic:
+    @given(positive=st.floats(-1, 1), negatives=st.lists(st.floats(-1, 1), max_size=40),
+           tau_c=st.one_of(st.floats(0.01, 10.0), st.sampled_from([1e-3, 0.07, 1.0])))
+    @settings(max_examples=300, deadline=None)
+    def test_same_bits_as_max_and_sum(self, positive, negatives, tau_c):
+        got = contrastive_loss(positive, negatives, tau_c)
+        expected = wrapper_contrastive_loss(positive, negatives, tau_c)
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
 class TestContrastiveLoss:

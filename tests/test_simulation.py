@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,9 @@ from corefed.aggregation import ParticipationLedger
 from corefed.config import ALGORITHMS, ExperimentConfig, SyntheticSource
 from corefed.data import Dataset, Shard, gen_synthetic
 from corefed.embedding import cosine
-from corefed.errors import ClientSkipped, ConfigError, NumericalError, PartitionError
+from corefed.errors import ConfigError, NumericalError
 from corefed.metrics import evaluation_plan
+from corefed.nn import ModelSpec
 from corefed.simulation import (
     RunState,
     build_shards,
@@ -25,6 +27,7 @@ from corefed.simulation import (
     run_simulation,
     sample_clients,
 )
+from tests.round_oracle import run_oracle
 from tests.test_data import attribute_users
 
 
@@ -189,10 +192,21 @@ class TestEverySampledClientTrains:
                                                                   input_dim=2, n=clients + extra))
         try:
             shards = build_shards(cfg)
-        except PartitionError:
+        except ConfigError:
             assume(False)
         assert [s.client_id for s in shards] == list(range(1, clients + 1))
         assert all(len(s.train) for s in shards)
+
+    def test_partition_no_redraw_can_fill_stops_the_run_before_any_training(self, monkeypatch):
+        # three samples for three clients: a draw at alpha 0.01 almost never gives one each
+        cfg = small_config(clients=3, online_per_round=1, dirichlet_alpha=0.01,
+                           dataset=SyntheticSource(num_classes=1, input_dim=6, n=3))
+        trained = []
+        monkeypatch.setattr(simulation, "local_train", lambda *args: trained.append(args))
+        with pytest.raises(ConfigError, match=r"^no partition gave every client data after 100 "
+                                              r"attempts \(m=3, alpha=0\.01, n=3\)$"):
+            run_simulation(cfg)
+        assert trained == []
 
     def test_injected_shard_without_training_data_stops_the_run(self, monkeypatch):
         cfg = small_config(clients=3, online_per_round=3, rounds=1)
@@ -201,7 +215,7 @@ class TestEverySampledClientTrains:
         shards[1] = Shard(client_id=2, train=no_train, test=shards[1].test)
         trained = []
         monkeypatch.setattr(simulation, "local_train", lambda *args: trained.append(args))
-        with pytest.raises(ClientSkipped, match=r"client 2 has no training data"):
+        with pytest.raises(ConfigError, match=r"^client 2 has no training data$"):
             run_simulation(cfg, shards=shards)
         assert trained == []
 
@@ -311,17 +325,85 @@ class TestInputRulesStayInSetUp:
         assert raised & {"ConfigError", "ClientSkipped"} == set()
 
 
+class TestRaisedErrorTypes:
+    # Input that cannot run is a ConfigError (a malformed file a FormatError
+    # or TruncatedFileError); a RuntimeError is a bug or a diverged run. A
+    # caller catching one kind must not catch the other.
+    def test_the_package_raises_only_these_types(self):
+        raised = set()
+        for module in Path(simulation.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    raised.add(getattr(exc, "id", None) or getattr(exc, "attr", None))
+        assert raised == {"ConfigError", "FormatError", "TruncatedFileError", "InvariantError",
+                          "NumericalError", "FileExistsError"}
+
+
+class TestRoundMatchesOracle:
+    @given(clients=st.integers(1, 7), online=st.integers(1, 7), rounds=st.integers(1, 7),
+           gamma=st.sampled_from([0.0, 0.5, 2.0]), k=st.sampled_from([0.5, 2.0, 20.0]),
+           beta=st.sampled_from([0.0, 0.5, 1.0]), eta0=st.sampled_from([0.05, 0.3]),
+           lr_decay=st.sampled_from([1.0, 0.9]), local_epochs=st.integers(1, 2),
+           batch_size=st.integers(2, 9), per_client=st.integers(4, 12), seed=st.integers(0, 2**16))
+    @settings(max_examples=200, deadline=None)
+    def test_every_algorithm_follows_the_equations(self, clients, online, rounds, gamma, k, beta,
+                                                   eta0, lr_decay, local_epochs, batch_size,
+                                                   per_client, seed):
+        cfg = ExperimentConfig(clients=clients, online_per_round=min(online, clients),
+                               rounds=rounds, gamma=gamma, k=k, beta=beta, eta0=eta0,
+                               lr_decay=lr_decay, local_epochs=local_epochs,
+                               batch_size=batch_size, seed=seed,
+                               dataset=SyntheticSource(num_classes=3, input_dim=4,
+                                                       n=clients * per_client),
+                               model=ModelSpec(4, (8,), 3))
+        try:
+            shards = build_shards(cfg)
+        except ConfigError:  # a partition that no redraw fills
+            assume(False)
+        for algorithm in ALGORITHMS:
+            run_cfg = dataclasses.replace(cfg, algorithm=algorithm)
+            assignments = []
+
+            def captured(*args):
+                result = aggregation.assemble_round(*args)
+                assignments.append(result[0])
+                return result
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(simulation, "assemble_round", captured)
+                try:
+                    final = run_simulation(run_cfg, shards=shards).final_params
+                except (ConfigError, NumericalError):  # no test row, or a dead layer stops it
+                    assume(False)
+            records, expected = run_oracle(run_cfg, shards)
+            assert len(assignments) == len(records)
+            for got, want in zip(assignments, records):
+                assert sorted(got.weights) == want["members"]
+                assert Fraction(got.window_tau) == want["tau"]
+                # count / tau as a float is the float nearest the fraction: no other
+                # fraction with a denominator up to tau lies that close
+                assert {cid: Fraction(f).limit_denominator(want["tau"])
+                        for cid, f in got.frequencies.items()} == want["frequencies"]
+                assert all(abs(got.weights[cid] - w) <= 1e-12 for cid, w in want["weights"].items())
+            assert np.linalg.norm(final - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
 class TestRoundKernelsCallUfuncsDirectly:
     # The round's per-sample and per-client paths call the ufunc reductions and
     # the dot products behind numpy's Python-level wrappers themselves, which
     # keeps every bit and skips the wrappers' per-call cost on arrays of a few rows.
     KERNELS = {("nn.py", "backward"), ("nn.py", "local_train"),
-               ("embedding.py", "client_embedding"), ("embedding.py", "cosine"),
-               ("embedding.py", "build_alignment_records"), ("metrics.py", "fairness_summary")}
+               ("embedding.py", "client_embedding"), ("embedding.py", "global_embedding"),
+               ("embedding.py", "cosine"), ("embedding.py", "contrastive_loss"),
+               ("embedding.py", "build_alignment_records"), ("metrics.py", "evaluate_accuracy"),
+               ("metrics.py", "mean_contrastive_loss"), ("metrics.py", "fairness_summary")}
 
     def test_no_kernel_names_a_numpy_wrapper(self):
-        modules = {"nn.py": nn, "embedding.py": embedding, "metrics.py": metrics}
-        assert all(callable(getattr(modules[module], name, None)) for module, name in self.KERNELS)
+        owners = {"nn.py": [nn], "embedding.py": [embedding],
+                  "metrics.py": [metrics, metrics.RoundReport]}
+        assert all(any(hasattr(owner, name) for owner in owners[module])
+                   for module, name in self.KERNELS)
         assert attribute_users({"linalg", "clip", "mean", "sum", "max"}) & self.KERNELS == set()
 
 
@@ -444,6 +526,29 @@ class TestBenchmarkReferenceDigests:
             _, cfg = bench.write_config(workload, entry["config_seed"] - 1, None,
                                         tmp_path / workload.name)
             assert config_hash(cfg) == entry["config_sha1"], workload.name
+
+
+class TestBenchmarkReferenceBytes:
+    # The benchmark rejects a change whose run directory differs from the
+    # reference digest; this runs each benchmarked workload's reference
+    # config the way the benchmark does, so a moved byte fails here first.
+    BENCHMARKED = [w["name"] for w in json.loads(
+        (Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())["workloads"]]
+
+    @pytest.mark.parametrize("name", BENCHMARKED)
+    def test_reference_config_writes_the_reference_digest(self, monkeypatch, tmp_path, name):
+        import_tracer(monkeypatch)
+        import bench
+        from corefed import cli
+
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        (entry,) = [e for e in json.loads(bench.REFERENCE_FILE.read_text(encoding="utf-8"))
+                    if e["workload"] == name]
+        workload = bench.WORKLOADS[name]
+        path, cfg = bench.write_config(workload, entry["config_seed"] - 1, None, tmp_path)
+        run_id = f"seed{cfg.seed}"  # summary.json holds the run id: it must be the benchmark's
+        assert cli.main(workload.argv(path, tmp_path / "out", run_id)) == 0
+        assert bench.tree_digest(tmp_path / "out" / run_id) == entry["digest"]
 
 
 class TestBenchmarkTracerHooks:
