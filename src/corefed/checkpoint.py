@@ -57,8 +57,8 @@ def _copy_range(fd: int, chunk: FileRange) -> None:
     """Append ``chunk``'s bytes at ``fd``'s position, read by ``read_exact`` at most
     ``_COPY_BLOCK`` bytes at a time through a buffered file, which resumes a short read.
 
-    A source that ends before the range does raises TruncatedFileError
-    naming it; a missing one raises FileNotFoundError naming it.
+    A source that ends before the range does raises FormatError naming
+    it; a missing one raises FileNotFoundError naming it.
     """
     end = chunk.offset + chunk.length
     with open(chunk.path, "rb") as source:
@@ -207,7 +207,7 @@ def load_ledger(json_path, gradients_path) -> ParticipationLedger:
     manifest, or a similarity outside [-1, 1], raises FormatError naming the
     file. ``gradients.bin`` must hold the records the manifest lists, each
     with its digest, and nothing more; a record longer than the rest of the
-    file raises TruncatedFileError unread.
+    file raises FormatError unread.
     The ledger's ``gradient_file`` and ``gradient_records`` point into
     ``gradients_path``, as they do after the save that wrote it.
     """

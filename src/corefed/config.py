@@ -235,14 +235,14 @@ def _unique_keys(path, pairs: list[tuple[str, object]]) -> dict:
 
 def parse_config(path) -> ExperimentConfig:
     """Load and validate a JSON config file; missing keys take defaults."""
-    text = Path(path).read_text(encoding="utf-8")
-    if not text.strip():
-        raw = {}
-    else:
-        try:
-            raw = json.loads(text, object_pairs_hook=lambda pairs: _unique_keys(path, pairs))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        raw = (json.loads(text, object_pairs_hook=lambda pairs: _unique_keys(path, pairs))
+               if text.strip() else {})
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
     return config_from_dict(raw)

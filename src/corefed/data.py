@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, TruncatedFileError
+from .errors import FormatError
 from .rng import substream
 
 IDX3_MAGIC = 0x00000803
@@ -96,14 +96,14 @@ def gen_synthetic(num_classes: int, input_dim: int, n: int, seed: int) -> Datase
 
 def read_exact(fh, nbytes: int, path, what: str) -> bytes:
     """The next ``nbytes`` of ``fh``, the buffered file at ``path``: every binary input is read here,
-    and a size below 0 or past the bytes left raises TruncatedFileError. Only a size over 1 MiB costs
+    and a size below 0 or past the bytes left raises FormatError. Only a size over 1 MiB costs
     a size check before the read, which no smaller read needs: it comes back short only at the end."""
     checked = not 0 <= nbytes <= _UNCHECKED_READ
     left = os.fstat(fh.fileno()).st_size - fh.tell() if checked else nbytes
     data = fh.read(nbytes) if 0 <= nbytes <= left else b""
     if len(data) != nbytes:
-        raise TruncatedFileError(f"{path}: truncated while reading {what} "
-                                 f"(wanted {nbytes} bytes, {left if checked else len(data)} left)")
+        raise FormatError(f"{path}: truncated while reading {what} "
+                          f"(wanted {nbytes} bytes, {left if checked else len(data)} left)")
     return data
 
 
@@ -115,9 +115,8 @@ def load_idx(images_path, labels_path) -> Dataset:
       labels  [magic u32 = 0x00000801][count u32][labels u8 ...]
 
     Pixels are scaled to [0, 1] by division by 255 and flattened row-major.
-    A declared payload longer than the rest of its file raises
-    TruncatedFileError before it is read; an image size past the index
-    range raises FormatError.
+    A declared payload longer than the rest of its file raises FormatError
+    before it is read, as does an image size past the index range.
     """
     with open(images_path, "rb") as fh:
         magic, count, rows, cols = struct.unpack(">IIII", read_exact(fh, 16, images_path, "image header"))

@@ -1,4 +1,4 @@
-"""Exception types shared across the simulator."""
+"""Exception types: a fault in the input is a ValueError, one in the run a RuntimeError."""
 
 
 class ConfigError(ValueError):
@@ -6,11 +6,7 @@ class ConfigError(ValueError):
 
 
 class FormatError(ValueError):
-    """A structured file (IDX data, checkpoint) violates its format."""
-
-
-class TruncatedFileError(OSError):
-    """A binary file ended before its declared payload."""
+    """A structured file (IDX data, checkpoint) violates its format or ends before its payload."""
 
 
 class InvariantError(RuntimeError):

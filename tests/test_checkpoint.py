@@ -28,7 +28,7 @@ from corefed.checkpoint import (
 from corefed.cli import main
 from corefed.config import ExperimentConfig, SyntheticSource, dumps_config
 from corefed.data import read_exact
-from corefed.errors import FormatError, TruncatedFileError
+from corefed.errors import FormatError
 from corefed.simulation import run_simulation
 
 
@@ -60,7 +60,7 @@ class TestVectorFile:
         path = tmp_path / "vec.bin"
         write_vector(path, np.array([1.0, 2.0]))
         path.write_bytes(path.read_bytes()[:-4])
-        with pytest.raises(TruncatedFileError):
+        with pytest.raises(FormatError, match="truncated while reading 2 values"):
             read_vector(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
@@ -74,7 +74,7 @@ class TestVectorFile:
         path = tmp_path / "vec.bin"
         path.write_bytes(struct.pack("<Q", 2**62) + bytes(16))
         message = re.escape(f"{path}: truncated while reading {2**62} values")
-        with pytest.raises(TruncatedFileError, match=message):
+        with pytest.raises(FormatError, match=message):
             read_vector(path)
 
 
@@ -141,7 +141,7 @@ class TestLedgerCheckpoint:
         save_ledger(sample_ledger(), tmp_path / "ledger.json", tmp_path / "gradients.bin")
         blob = (tmp_path / "gradients.bin").read_bytes()
         (tmp_path / "gradients.bin").write_bytes(blob[:-3])
-        with pytest.raises(TruncatedFileError):
+        with pytest.raises(FormatError, match="truncated while reading client 3's gradient"):
             load_ledger(tmp_path / "ledger.json", tmp_path / "gradients.bin")
 
     def test_manifest_length_past_the_cache_is_rejected_unread(self, tmp_path):
@@ -152,7 +152,7 @@ class TestLedgerCheckpoint:
         text = edited(lambda d: d["gradient_cache"][0].update({"length": 2**62}))(text)
         (tmp_path / "ledger.json").write_text(text, encoding="utf-8")
         message = re.escape(f"{tmp_path / 'gradients.bin'}: truncated while reading client 1's")
-        with pytest.raises(TruncatedFileError, match=message):
+        with pytest.raises(FormatError, match=message):
             load_ledger(tmp_path / "ledger.json", tmp_path / "gradients.bin")
 
     def test_length_prefix_that_disagrees_with_the_manifest_is_rejected(self, tmp_path):
@@ -214,7 +214,7 @@ class TestLedgerCheckpoint:
         text = (tmp_path / "ledger.json").read_text(encoding="utf-8")
         assert edit(text) != text
         (tmp_path / "ledger.json").write_text(edit(text), encoding="utf-8")
-        with pytest.raises((FormatError, TruncatedFileError), match=re.escape(str(tmp_path / damaged))):
+        with pytest.raises(FormatError, match=re.escape(str(tmp_path / damaged))):
             load_ledger(tmp_path / "ledger.json", tmp_path / "gradients.bin")
 
     @pytest.mark.parametrize("edit", [
@@ -717,12 +717,14 @@ class TestCopyFailures:
         for name in written:
             assert (torn / name).read_bytes() == (clean / name).read_bytes(), name
 
-    @pytest.mark.parametrize("damage, error", [(delete_source, FileNotFoundError),
-                                               (truncate_source, TruncatedFileError)],
-                             ids=["deleted", "truncated"])
-    def test_a_damaged_earlier_checkpoint_is_named(self, tmp_path, monkeypatch, damage, error):
+    @pytest.mark.parametrize("damage, error, message", [
+        (delete_source, FileNotFoundError, None),
+        (truncate_source, FormatError, "truncated while reading the cached gradient records"),
+    ], ids=["deleted", "truncated"])
+    def test_a_damaged_earlier_checkpoint_is_named(self, tmp_path, monkeypatch, damage, error,
+                                                   message):
         damaged = damage_first_copy_source(monkeypatch, damage)
-        with pytest.raises(error) as raised:
+        with pytest.raises(error, match=message) as raised:
             run_simulation(RELEASE_CONFIG, checkpoint_dir=tmp_path)
         assert str(damaged[0]) in str(raised.value)
         assert not list(tmp_path.rglob("*.tmp"))
@@ -783,14 +785,14 @@ class TestFileRanges:
         assert sizes == []
         message = re.escape(f"{source}: truncated while reading the cached gradient records at "
                             f"bytes 250-260 (wanted 7 bytes, 6 left)")
-        with pytest.raises(TruncatedFileError, match=message):
+        with pytest.raises(FormatError, match=message):
             atomic_write(tmp_path / "out.bin", [FileRange(source, 250, 10)])
 
     def test_a_range_past_the_end_fails_and_keeps_the_old_file(self, tmp_path):
         source = tmp_path / "source.bin"
         source.write_bytes(bytes(20))
         (tmp_path / "out.bin").write_bytes(b"old")
-        with pytest.raises(TruncatedFileError, match=re.escape(str(source))):
+        with pytest.raises(FormatError, match=re.escape(f"{source}: truncated while reading")):
             atomic_write(tmp_path / "out.bin", [b"new", FileRange(source, 8, 16)])
         assert (tmp_path / "out.bin").read_bytes() == b"old"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin", "source.bin"]

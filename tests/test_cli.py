@@ -459,6 +459,15 @@ class TestCmdSweep:
         assert not out.exists()
 
 
+def run_module(*args):
+    """``python -m corefed *args`` in a subprocess that imports this checkout, without a seed override."""
+    env = {name: value for name, value in os.environ.items() if name != "COREFED_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(corefed.__file__).parent.parent)] + env.get("PYTHONPATH", "").split(os.pathsep))
+    return subprocess.run([sys.executable, "-m", "corefed", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 class TestValidateAndEnv:
     def test_validate_echoes_resolved_config(self, tmp_path, capsys):
         path = tmp_path / "empty.json"
@@ -472,13 +481,16 @@ class TestValidateAndEnv:
         # `python -m corefed` is how every cold benchmark run starts.
         path = tmp_path / "empty.json"
         path.write_text("", encoding="utf-8")
-        env = {name: value for name, value in os.environ.items() if name != "COREFED_SEED"}
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(Path(corefed.__file__).parent.parent)] + env.get("PYTHONPATH", "").split(os.pathsep))
-        done = subprocess.run([sys.executable, "-m", "corefed", "validate", "--config", str(path)],
-                              capture_output=True, text=True, env=env, timeout=60)
+        done = run_module("validate", "--config", str(path))
         assert done.returncode == 0, done.stderr
         assert done.stdout == dumps_config(ExperimentConfig())
+
+    def test_config_that_is_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"rounds": 2, "x": "\xff"}')
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 20")):
+            parse_config(path)
 
     def test_validate_rejects_bad_config(self, tmp_path, capsys):
         path = write_config(tmp_path, {"beta": -1})
@@ -581,6 +593,17 @@ class TestIdxEndToEnd:
             assert main(args) == 1
             assert "clients (7) must be at most the 6 loaded" in capsys.readouterr().err
             assert not (out / "x").exists()
+
+    def test_image_file_cut_short_stops_the_command_line_run(self, tmp_path):
+        # cli.main turns every error into one stderr line; a short file is a FormatError
+        config = write_idx_config(tmp_path, n=24, clients=2)
+        images, out = tmp_path / "imgs.idx3", tmp_path / "out"
+        images.write_bytes(images.read_bytes()[:-5])
+        done = run_module("run", "--config", str(config), "--out", str(out), "--run-id", "x")
+        assert done.returncode == 1
+        assert done.stderr.splitlines() == [
+            f"error: {images}: truncated while reading pixel data (wanted 384 bytes, 379 left)"]
+        assert not any(out.iterdir())
 
     def test_refused_run_keeps_the_existing_directory(self, tmp_path):
         config = write_idx_config(tmp_path, n=6, clients=7)
@@ -799,7 +822,8 @@ class TestAddedFields:
     @pytest.fixture
     def grown(self, monkeypatch):
         """The schema with one throwaway field added at the top level and one in ``model``."""
-        monkeypatch.setattr(config_module, "_ADDED_FIELDS", frozenset({"mu", "model.dropout"}))
+        monkeypatch.setattr(config_module, "_ADDED_FIELDS",
+                            config_module._ADDED_FIELDS | {"mu", "model.dropout"})
         monkeypatch.setattr(config_module, "ExperimentConfig", GrownConfig)
         monkeypatch.setitem(config_module._OBJECTS, "model", GrownModel)
 

@@ -20,7 +20,7 @@ from corefed.data import (
     load_idx,
     split_test,
 )
-from corefed.errors import FormatError, TruncatedFileError
+from corefed.errors import FormatError
 from corefed.rng import substream
 
 
@@ -88,12 +88,12 @@ class TestLoadIdx:
         with pytest.raises(FormatError):
             load_idx(*paths)
 
-    def test_empty_file_is_io_error(self, tmp_path):
+    def test_empty_file_is_format_error(self, tmp_path):
         images = tmp_path / "empty.idx3"
         images.write_bytes(b"")
         labels = tmp_path / "labels.idx1"
         labels.write_bytes(struct.pack(">II", IDX1_MAGIC, 0))
-        with pytest.raises(TruncatedFileError):
+        with pytest.raises(FormatError, match="truncated while reading image header"):
             load_idx(images, labels)
 
     def test_in_place_scaling_matches_division(self, tmp_path):
@@ -105,9 +105,9 @@ class TestLoadIdx:
         assert inputs.dtype == np.float64 and inputs.flags.c_contiguous
         assert inputs.tobytes() == expected.tobytes()
 
-    def test_truncated_pixels_is_io_error(self, tmp_path):
+    def test_truncated_pixels_is_format_error(self, tmp_path):
         paths = write_idx_pair(tmp_path, [0] * 6, [0, 1], image_count=2)
-        with pytest.raises(TruncatedFileError):
+        with pytest.raises(FormatError, match="truncated while reading pixel data"):
             load_idx(*paths)
 
     def test_declared_size_past_the_file_is_rejected_unread(self, tmp_path):
@@ -116,7 +116,7 @@ class TestLoadIdx:
         images, labels = write_idx_pair(tmp_path, [0], [0], rows=0xFFFFFFFF, cols=0xFFFFFFFF,
                                         image_count=0xFFFFFFFF)
         assert len(images.read_bytes()) == 17
-        with pytest.raises(TruncatedFileError, match="truncated while reading pixel data"):
+        with pytest.raises(FormatError, match="truncated while reading pixel data"):
             load_idx(images, labels)
 
     def test_image_size_past_the_index_range_is_format_error(self, tmp_path):

@@ -11,13 +11,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corefed import aggregation, embedding, metrics, nn, simulation
-from corefed.aggregation import ParticipationLedger
+from corefed.aggregation import ParticipationLedger, pseudo_gradient
 from corefed.config import ALGORITHMS, ExperimentConfig, SyntheticSource
 from corefed.data import Dataset, Shard, gen_synthetic
 from corefed.embedding import cosine
-from corefed.errors import ConfigError, NumericalError
+from corefed.errors import ConfigError, FormatError, InvariantError, NumericalError
 from corefed.metrics import evaluation_plan
-from corefed.nn import ModelSpec
+from corefed.nn import ModelSpec, local_train
+from corefed.rng import substream
 from corefed.simulation import (
     RunState,
     build_shards,
@@ -326,9 +327,15 @@ class TestInputRulesStayInSetUp:
 
 
 class TestRaisedErrorTypes:
-    # Input that cannot run is a ConfigError (a malformed file a FormatError
-    # or TruncatedFileError); a RuntimeError is a bug or a diverged run. A
-    # caller catching one kind must not catch the other.
+    # A fault in the input (a config, a data or checkpoint file) is a
+    # ValueError that names its source; a fault in the run (a bug, a diverged
+    # model) is a RuntimeError; FileExistsError is the one system fault the
+    # package raises itself. A caller catching one kind must not catch
+    # another, so a new type joins exactly one group here.
+    GROUPS = {ValueError: {ConfigError, FormatError},
+              RuntimeError: {InvariantError, NumericalError},
+              OSError: {FileExistsError}}
+
     def test_the_package_raises_only_these_types(self):
         raised = set()
         for module in Path(simulation.__file__).parent.glob("*.py"):
@@ -336,8 +343,12 @@ class TestRaisedErrorTypes:
                 if isinstance(node, ast.Raise) and node.exc is not None:
                     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                     raised.add(getattr(exc, "id", None) or getattr(exc, "attr", None))
-        assert raised == {"ConfigError", "FormatError", "TruncatedFileError", "InvariantError",
-                          "NumericalError", "FileExistsError"}
+        assert raised == {cls.__name__ for members in self.GROUPS.values() for cls in members}
+
+    def test_each_type_falls_in_its_group_alone(self):
+        for base, members in self.GROUPS.items():
+            for cls in members:
+                assert [group for group in self.GROUPS if issubclass(cls, group)] == [base], cls
 
 
 class TestRoundMatchesOracle:
@@ -387,6 +398,40 @@ class TestRoundMatchesOracle:
                         for cid, f in got.frequencies.items()} == want["frequencies"]
                 assert all(abs(got.weights[cid] - w) <= 1e-12 for cid, w in want["weights"].items())
             assert np.linalg.norm(final - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+# 12 clients, 2 online: a cached gradient stays in memory until its client
+# last trained window_bound = 6 rounds ago.
+RECOMPUTE_CONFIG = ExperimentConfig(rounds=40, clients=12, online_per_round=2, batch_size=20,
+                                    dataset=SyntheticSource(num_classes=4, input_dim=16, n=960))
+
+
+class TestCachedGradientsRecompute:
+    # A cached gradient is a pure function of the global vector before its
+    # client's last round t and of that client's round-t shuffle stream, so a
+    # checkpoint that keeps those vectors could recompute the cache bit for bit.
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("algorithm", ["corefed", "cofed"])
+    def test_every_cached_gradient_is_its_clients_last_update(self, monkeypatch, algorithm, seed):
+        cfg = dataclasses.replace(RECOMPUTE_CONFIG, algorithm=algorithm, seed=seed)
+        trained_from, live = {}, []
+
+        def checked_round(state, config, shards, plan):
+            trained_from[state.round + 1] = state.params
+            state, report = run_round(state, config, shards, plan)
+            for cid, cached in state.ledger.last_gradient.items():
+                t = state.ledger.client_rounds[cid][-1]
+                eta = lr_schedule(cfg.eta0, cfg.lr_decay, t)
+                local = local_train(trained_from[t], cfg.model, shards[cid - 1], cfg.local_epochs,
+                                    cfg.batch_size, eta, substream(cfg.seed, "shuffle", t, cid))
+                assert pseudo_gradient(trained_from[t], local, eta).tobytes() == cached.tobytes(), \
+                    f"round {state.round}, client {cid} (last trained in round {t})"
+            live.append(len(state.ledger.last_gradient))
+            return state, report
+
+        monkeypatch.setattr(simulation, "run_round", checked_round)
+        run_simulation(cfg)
+        assert len(live) == cfg.rounds and max(live) > cfg.resolved_online(), live
 
 
 class TestRoundKernelsCallUfuncsDirectly:
