@@ -219,7 +219,7 @@ def load_ledger(json_path, gradients_path) -> ParticipationLedger:
             ledger.record_round(int(r), members)
         similarities = {int(c): float(s) for c, s in document["last_similarity"].items()}
         cache = [(int(e["client"]), int(e["length"]), e["sha256"]) for e in document["gradient_cache"]]
-    except (KeyError, AttributeError, TypeError, ValueError, OverflowError,
+    except (KeyError, AttributeError, TypeError, ValueError, OverflowError, RecursionError,
             InvariantError) as exc:
         raise FormatError(f"{json_path}: no run writes this ledger: {exc!r}") from exc
     if document.get("schema_version") != LEDGER_SCHEMA_VERSION:

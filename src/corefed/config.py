@@ -234,7 +234,7 @@ def _unique_keys(path, pairs: list[tuple[str, object]]) -> dict:
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Load and validate a JSON config file; missing keys take defaults."""
+    """Load and validate a JSON config file; missing keys take defaults, and any fault raises ConfigError."""
     try:
         text = Path(path).read_text(encoding="utf-8")
         raw = (json.loads(text, object_pairs_hook=lambda pairs: _unique_keys(path, pairs))
@@ -243,6 +243,8 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: nested too deeply to parse") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
     return config_from_dict(raw)

@@ -25,7 +25,6 @@ IDX3_MAGIC = 0x00000803
 IDX1_MAGIC = 0x00000801
 
 _PARTITION_RETRIES = 100
-_UNCHECKED_READ = 1 << 20  # bytes
 
 
 @dataclass(frozen=True)
@@ -95,15 +94,14 @@ def gen_synthetic(num_classes: int, input_dim: int, n: int, seed: int) -> Datase
 
 
 def read_exact(fh, nbytes: int, path, what: str) -> bytes:
-    """The next ``nbytes`` of ``fh``, the buffered file at ``path``: every binary input is read here,
-    and a size below 0 or past the bytes left raises FormatError. Only a size over 1 MiB costs
-    a size check before the read, which no smaller read needs: it comes back short only at the end."""
-    checked = not 0 <= nbytes <= _UNCHECKED_READ
-    left = os.fstat(fh.fileno()).st_size - fh.tell() if checked else nbytes
-    data = fh.read(nbytes) if 0 <= nbytes <= left else b""
-    if len(data) != nbytes:
-        raise FormatError(f"{path}: truncated while reading {what} "
-                          f"(wanted {nbytes} bytes, {left if checked else len(data)} left)")
+    """The next ``nbytes`` of the buffered file ``fh`` at ``path``, where every binary input is read.
+    A size below 0 or past the bytes left raises FormatError unread, a file that shrank under it after."""
+    left = max(0, os.fstat(fh.fileno()).st_size - fh.tell())
+    if 0 <= nbytes <= left:
+        data = fh.read(nbytes)
+        left = len(data)
+    if left != nbytes:
+        raise FormatError(f"{path}: truncated while reading {what} (wanted {nbytes} bytes, {left} left)")
     return data
 
 

@@ -224,8 +224,9 @@ class TestLedgerCheckpoint:
         edited(lambda d: d.pop("last_similarity")),
         edited(lambda d: d.pop("gradient_cache")),
         edited(lambda d: d.update(history=list(d["history"].values()))),
+        lambda text: "[" * 100_000 + "]" * 100_000,
     ], ids=["not-json", "not-an-object", "history-missing", "similarity-section-missing",
-            "gradient-cache-missing", "history-a-list"])
+            "gradient-cache-missing", "history-a-list", "nested-past-the-decoder"])
     def test_malformed_manifest_is_a_format_error(self, tmp_path, edit):
         save_ledger(sample_ledger(), tmp_path / "ledger.json", tmp_path / "gradients.bin")
         text = (tmp_path / "ledger.json").read_text(encoding="utf-8")
@@ -772,9 +773,8 @@ class TestFileRanges:
         atomic_write(tmp_path / "out.bin", [FileRange(source, 3, 200)])
         assert (tmp_path / "out.bin").read_bytes() == bytes(range(3, 203))
 
-    def test_blocks_cost_no_size_check(self, tmp_path, monkeypatch):
-        # A block read that comes back short is the end of the file, so asking
-        # the system for the file's size once a block only repeats that check.
+    def test_each_block_checks_the_bytes_left_once(self, tmp_path, monkeypatch):
+        # Every read is bounded the same way: one size check per block, before it is read.
         source = tmp_path / "source.bin"
         source.write_bytes(bytes(range(256)))
         sizes = []
@@ -782,7 +782,7 @@ class TestFileRanges:
         monkeypatch.setattr(checkpoint, "_COPY_BLOCK", 7)
         atomic_write(tmp_path / "out.bin", [FileRange(source, 3, 200), FileRange(source, 0, 10)])
         assert (tmp_path / "out.bin").read_bytes() == bytes(range(3, 203)) + bytes(range(10))
-        assert sizes == []
+        assert len(sizes) == -(-200 // 7) + -(-10 // 7)
         message = re.escape(f"{source}: truncated while reading the cached gradient records at "
                             f"bytes 250-260 (wanted 7 bytes, 6 left)")
         with pytest.raises(FormatError, match=message):

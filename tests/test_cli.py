@@ -492,6 +492,21 @@ class TestValidateAndEnv:
                 f"{path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 20")):
             parse_config(path)
 
+    @pytest.mark.parametrize("layout", ["{}", '{{"rounds": {}}}'], ids=["bare", "as-rounds"])
+    def test_config_nested_past_the_decoder_names_the_file(self, tmp_path, layout):
+        # json.loads' RecursionError named no file and was no ConfigError
+        path = tmp_path / "deep.json"
+        path.write_text(layout.format("[" * 100_000 + "]" * 100_000), encoding="utf-8")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: nested too deeply to parse")):
+            parse_config(path)
+
+    def test_validate_reports_a_config_nested_too_deep_on_one_line(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        done = run_module("validate", "--config", str(path))
+        assert done.returncode == 1
+        assert done.stderr.splitlines() == [f"error: {path}: nested too deeply to parse"]
+
     def test_validate_rejects_bad_config(self, tmp_path, capsys):
         path = write_config(tmp_path, {"beta": -1})
         assert main(["validate", "--config", str(path)]) == 1

@@ -18,6 +18,7 @@ from corefed.data import (
     dirichlet_partition,
     gen_synthetic,
     load_idx,
+    read_exact,
     split_test,
 )
 from corefed.errors import FormatError
@@ -153,6 +154,26 @@ class TestOneBoundedReader:
     # end-of-file test; file objects go through read_exact instead.
     def test_no_function_reads_a_raw_descriptor(self):
         assert attribute_users({"pread", "read", "preadv", "readv"}, receiver="os") == set()
+
+    @pytest.mark.parametrize("size, shrink, message", [
+        (7, 0, "wanted 7 bytes, 6 left"),  # past the end: refused before read() is called
+        (4, 1, "wanted 4 bytes, 3 left"),  # the file shrank under the reader after the check
+    ], ids=["past-the-end", "shrank"])
+    def test_a_small_read_is_checked_like_a_large_one(self, tmp_path, size, shrink, message):
+        path = tmp_path / "six.bin"
+        path.write_bytes(bytes(6))
+        reads = []
+        with open(path, "rb") as fh:
+            class Spy:
+                fileno, tell = fh.fileno, fh.tell
+
+                def read(self, n):
+                    reads.append(n)
+                    return fh.read(n)[: n - shrink]
+            with pytest.raises(FormatError, match=re.escape(
+                    f"{path}: truncated while reading header ({message})")):
+                read_exact(Spy(), size, path, "header")
+        assert reads == ([] if size > 6 else [size])
 
 
 def label_entropy(labels, num_classes):
