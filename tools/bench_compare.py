@@ -3,11 +3,12 @@
     python3 tools/bench_compare.py --base <rev|dir> [--head <rev|dir>] [--workloads desk,crowd]
         [--pairs 10] [--seconds 50] [--bytes-change] [--markdown]
 
-Each side is the directory of a git checkout, or a git revision checked out as a temporary
-``git worktree`` that is removed afterwards; ``--head`` defaults to the
-current directory. Pair i runs benchmark seed i of every workload through each tree's
-own ``perfbench/run.py`` with the command of ``BENCHMARK.json``, the base
-first in odd pairs and the head first in even ones. A side whose result is
+Each side is the directory of a git checkout, or a git revision checked out
+in a temporary ``git worktree`` that is removed afterwards; ``--head``
+defaults to the current directory. Pair i runs benchmark seed i of every
+workload through each tree's own ``perfbench/run.py`` with the command of
+``BENCHMARK.json``, the base first in odd pairs and the head first in even
+ones. A side whose result is
 not ``correct`` or counts a failed run, or a seed whose output digests differ
 between the sides (unless ``--bytes-change``), fails the comparison.
 
@@ -33,7 +34,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-WIN_SHARE = 0.9  # a gain needs the head to win at least this share of the pairs
 
 
 def git(*args, cwd=ROOT) -> str:
@@ -44,11 +44,14 @@ def git(*args, cwd=ROOT) -> str:
 @contextlib.contextmanager
 def source_tree(spec: str):
     """``spec`` as a directory: itself, or the git revision it names checked out in a
-    temporary worktree, removed on exit. Yields the directory and its commit."""
+    temporary worktree, removed on exit. Yields the directory and its commit, and whether
+    the directory's benchmarked sources differ from that commit."""
     if Path(spec).is_dir():
         path = Path(spec).resolve()
         commit = git("rev-parse", "HEAD", cwd=path)
-        modified = subprocess.run(["git", "diff", "--quiet", "HEAD"], cwd=path).returncode != 0
+        # the benchmark runs what src/ and perfbench/ hold, committed or not
+        modified = subprocess.run(["git", "diff", "--quiet", "HEAD", "--", "src", "perfbench"],
+                                  cwd=path).returncode != 0
         yield path, {"spec": spec, "commit": commit, "modified": modified}
         return
     commit = git("rev-parse", "--verify", f"{spec}^{{commit}}")
@@ -111,9 +114,9 @@ def verdict(base: list[float], head: list[float], better: str, bound: float) -> 
     ``regression``: the head's median is worse than the base's by more than
     ``bound``, a share of the base median. ``unresolved``: either side's
     quartile spread is wider than that bound, unless every head run reads
-    better than every base run. ``gain``: the head wins at least
-    ``WIN_SHARE`` of the pairs and its median is better by more than the
-    base's quartile spread. Otherwise ``unchanged``.
+    better than every base run. ``gain``: the head wins at least nine tenths
+    of the pairs and its median is better by more than the base's quartile
+    spread. Otherwise ``unchanged``.
     """
     b, h = quartiles(base), quartiles(head)
     sign = 1 if better == "lower" else -1
@@ -124,7 +127,7 @@ def verdict(base: list[float], head: list[float], better: str, bound: float) -> 
     every_run_better = (max(head) < min(base)) if better == "lower" else (min(head) > max(base))
     if spread > bound * b["median"] and not every_run_better:
         return "unresolved"
-    if wins(base, head, better) >= WIN_SHARE * len(base) and -worse_by > b["q3"] - b["q1"]:
+    if 10 * wins(base, head, better) >= 9 * len(base) and -worse_by > b["q3"] - b["q1"]:
         return "gain"
     return "unchanged"
 
@@ -213,7 +216,7 @@ def main(argv=None) -> int:
                     run[side] = run_benchmark(trees[side], benchmark["command"], workload,
                                               seed, seconds)
                     problems += side_problems(side, workload, seed, run[side])
-                    print(f"pair {seed + 1}/{args.pairs} {workload} {side}: " + ", ".join(
+                    print(f"seed {seed} {workload} {side}: " + ", ".join(
                         f"{m['name']} {run[side]['metrics'][m['name']]:.4g}"
                         for m in benchmark["end_to_end"]), file=sys.stderr)
                 if paired:
