@@ -494,7 +494,7 @@ class TestValidateAndEnv:
 
     @pytest.mark.parametrize("layout", ["{}", '{{"rounds": {}}}'], ids=["bare", "as-rounds"])
     def test_config_nested_past_the_decoder_names_the_file(self, tmp_path, layout):
-        # json.loads' RecursionError named no file and was no ConfigError
+        # the decoder raises a bare RecursionError, which names no file
         path = tmp_path / "deep.json"
         path.write_text(layout.format("[" * 100_000 + "]" * 100_000), encoding="utf-8")
         with pytest.raises(ConfigError, match=re.escape(f"{path}: nested too deeply to parse")):

@@ -91,13 +91,6 @@ def run_benchmark(tree: Path, command: list[str], workload: str, seed: int,
     return parse_run(done.stdout)
 
 
-def side_problems(label: str, workload: str, seed: int, run: dict) -> list[str]:
-    if run["correct"] and run["failed"] == 0:
-        return []
-    return [f"{workload} seed {seed}: {label} not correct "
-            f"({run['failed']} of {run['attempted']} runs failed)"]
-
-
 def quartiles(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
@@ -135,9 +128,7 @@ def verdict(base: list[float], head: list[float], better: str, bound: float) -> 
 def summarize(runs: list[dict], metrics: list[dict], paired: bool) -> dict:
     """Per workload and end-to-end metric: each side's quartiles, and for a
     paired run the change of the median, the head's wins and the verdict."""
-    summary = {}
-    for run in runs:
-        summary.setdefault(run["workload"], {})
+    summary = {run["workload"]: {} for run in runs}
     for workload, table in summary.items():
         rows = [r for r in runs if r["workload"] == workload]
         for metric in metrics:
@@ -213,11 +204,13 @@ def main(argv=None) -> int:
             for workload in workloads:
                 run = {"pair": seed, "seed": seed, "workload": workload, "order": order}
                 for side in order:
-                    run[side] = run_benchmark(trees[side], benchmark["command"], workload,
-                                              seed, seconds)
-                    problems += side_problems(side, workload, seed, run[side])
+                    result = run[side] = run_benchmark(trees[side], benchmark["command"],
+                                                       workload, seed, seconds)
+                    if not result["correct"] or result["failed"]:
+                        problems.append(f"{workload} seed {seed}: {side} not correct "
+                                        f"({result['failed']} of {result['attempted']} runs failed)")
                     print(f"seed {seed} {workload} {side}: " + ", ".join(
-                        f"{m['name']} {run[side]['metrics'][m['name']]:.4g}"
+                        f"{m['name']} {result['metrics'][m['name']]:.4g}"
                         for m in benchmark["end_to_end"]), file=sys.stderr)
                 if paired:
                     run["digests_equal"] = run["base"]["digests"] == run["head"]["digests"]
