@@ -8,7 +8,7 @@ single seed.
 
 from .config import ExperimentConfig, IdxSource, SyntheticSource, parse_config
 from .metrics import RoundReport
-from .simulation import run_simulation
+from .simulation import rounds, run_simulation
 
 __all__ = [
     "ExperimentConfig",
@@ -16,6 +16,7 @@ __all__ = [
     "SyntheticSource",
     "RoundReport",
     "parse_config",
+    "rounds",
     "run_simulation",
 ]
 

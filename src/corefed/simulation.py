@@ -8,6 +8,7 @@ perturbs the data partition or the per-round client samples.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import numpy as np
 
 from .aggregation import (
     ParticipationLedger,
+    WeightAssignment,
     aggregate,
     assemble_round,
     fedavg_aggregate,
@@ -104,8 +106,8 @@ def initial_params(config: ExperimentConfig) -> np.ndarray:
 
 
 def run_round(state: RunState, config: ExperimentConfig, shards: list[Shard],
-              plan: EvaluationPlan) -> tuple[RunState, RoundReport]:
-    """Execute one round and return the advanced state plus its report.
+              plan: EvaluationPlan) -> tuple[RunState, RoundReport, WeightAssignment | None]:
+    """Execute one round; return the advanced state, its report and the fair path's weights.
 
     The algorithm's two switches shape the round: ``align`` takes each
     client's similarity from its distilled embedding and logs contrastive
@@ -113,7 +115,7 @@ def run_round(state: RunState, config: ExperimentConfig, shards: list[Shard],
     weights (similarity from the raw embedding unless ``align`` is on).
     With neither, no embedding pass runs and the round is plain FedAvg.
     ``shards[i - 1]`` is client i's shard, with training rows, as
-    ``run_simulation`` orders and checks them. Every sampled client trains;
+    ``rounds`` orders and checks them. Every sampled client trains;
     a client's dead last hidden layer, or a new global model that is not
     finite or is dead on every test row, stops the run with ``NumericalError``.
     The new global model is scored against ``plan``, built from ``shards``.
@@ -146,6 +148,7 @@ def run_round(state: RunState, config: ExperimentConfig, shards: list[Shard],
         else:
             # The ledger still records the round so participation accounting
             # stays comparable across algorithms; nothing reads a cache here.
+            assignment = None
             state.ledger.record_round(t, active)
             sizes = {cid: len(shards[cid - 1].train) for cid in active}
             new_params = fedavg_aggregate(local_models, sizes)
@@ -169,7 +172,7 @@ def run_round(state: RunState, config: ExperimentConfig, shards: list[Shard],
         learning_rate=eta,
         online=frozenset(active),
     )
-    return RunState(round=t, params=new_params, ledger=state.ledger, seed=state.seed), report
+    return RunState(round=t, params=new_params, ledger=state.ledger, seed=state.seed), report, assignment
 
 
 @dataclass
@@ -178,10 +181,9 @@ class SimulationResult:
     final_params: np.ndarray
 
 
-def run_simulation(config: ExperimentConfig, shards: list[Shard] | None = None,
-                   checkpoint_dir=None) -> SimulationResult:
-    """Run the full experiment, checkpointing into ``checkpoint_dir`` (when given)
-    every ``checkpoint_interval`` rounds (when positive).
+def rounds(config: ExperimentConfig, shards: list[Shard] | None = None, checkpoint_dir=None
+           ) -> Iterator[tuple[RunState, RoundReport, WeightAssignment | None]]:
+    """Run the experiment, yielding ``(state, report, assignment)`` once per round.
 
     ``shards`` may be injected (a sweep's one build for all its algorithms,
     tests); by default they are derived from the config seed. Injected
@@ -189,11 +191,11 @@ def run_simulation(config: ExperimentConfig, shards: list[Shard] | None = None,
     further in needs to: ids 1..``config.clients`` once each, data that
     fits the model, training rows in every shard. Built or injected, some
     shard must hold a test row; the evaluation plan is built once from
-    them. Each rule raises ConfigError before the first round trains.
+    them. Each rule raises ConfigError at the first ``next()``.
 
-    After each round the ledger releases every cached gradient that no
-    later round can reuse (``window_bound``). When checkpoints are written,
-    one that no checkpoint holds yet stays in memory until the next does.
+    Round t's record follows ``round_t/``, written into ``checkpoint_dir`` (when given)
+    every ``checkpoint_interval`` rounds (when positive). Then the ledger releases the cached
+    gradients no later round can reuse (``window_bound``), but keeps any a checkpoint is due to hold.
     """
     if shards is None:
         shards = build_shards(config)
@@ -215,16 +217,23 @@ def run_simulation(config: ExperimentConfig, shards: list[Shard] | None = None,
         raise ConfigError("no shard has a non-empty test slice")
     plan = evaluation_plan(config.model, shards)
     state = RunState(0, initial_params(config), ParticipationLedger(), config.seed)
-    reports: list[RoundReport] = []
     checkpointing = checkpoint_dir is not None and config.checkpoint_interval > 0
     reach = window_bound(config.clients, config.resolved_online())
     for _ in range(config.rounds):
-        state, report = run_round(state, config, shards, plan)
-        reports.append(report)
+        state, report, assignment = run_round(state, config, shards, plan)
         if checkpointing and state.round % config.checkpoint_interval == 0:
             _write_checkpoint(Path(checkpoint_dir), state)
+        yield state, report, assignment
         state.ledger.release(state.round - reach, keep_unsaved=checkpointing)
-    return SimulationResult(reports=reports, final_params=state.params)
+
+
+def run_simulation(config: ExperimentConfig, shards: list[Shard] | None = None,
+                   checkpoint_dir=None) -> SimulationResult:
+    """Run ``rounds`` to the end, keeping every report and the last parameters."""
+    state, reports = None, []
+    for state, report, _ in rounds(config, shards, checkpoint_dir):
+        reports.append(report)
+    return SimulationResult(reports, state.params if reports else initial_params(config))
 
 
 def _write_checkpoint(root: Path, state: RunState) -> None:
