@@ -652,15 +652,12 @@ class TestReleaseBound:
     """No round reuses a gradient older than window_bound, so no run keeps one in memory."""
 
     @pytest.mark.parametrize("checkpoints", [True, False])
-    def test_memory_holds_only_gradients_inside_the_widest_window(self, tmp_path, monkeypatch,
-                                                                 checkpoints):
-        ledgers = []
-        monkeypatch.setattr(simulation, "ParticipationLedger",
-                            lambda: ledgers.append(ParticipationLedger()) or ledgers[-1])
-        run_simulation(RELEASE_CONFIG, checkpoint_dir=tmp_path if checkpoints else None)
-        (ledger,) = ledgers
+    def test_memory_holds_only_gradients_inside_the_widest_window(self, tmp_path, checkpoints):
+        *_, (state, _, _) = simulation.rounds(RELEASE_CONFIG,
+                                              checkpoint_dir=tmp_path if checkpoints else None)
+        ledger = state.ledger  # released after the last record too, as the run ends
         reach = window_bound(RELEASE_CONFIG.clients, RELEASE_CONFIG.resolved_online())
-        ages = {cid: ledger.last_round - rounds[-1] for cid, rounds in ledger.client_rounds.items()}
+        ages = {cid: ledger.last_round - seen[-1] for cid, seen in ledger.client_rounds.items()}
         assert max(ages.values()) > reach
         assert sorted(ledger.last_gradient) == sorted(c for c, age in ages.items() if age < reach)
         if checkpoints:

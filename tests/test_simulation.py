@@ -11,12 +11,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corefed import aggregation, embedding, metrics, nn, simulation
-from corefed.aggregation import ParticipationLedger, pseudo_gradient
+from corefed.aggregation import ParticipationLedger, pseudo_gradient, window_bound
+from corefed.checkpoint import load_ledger, read_vector
 from corefed.config import ALGORITHMS, ExperimentConfig, SyntheticSource
 from corefed.data import Dataset, Shard, gen_synthetic
 from corefed.embedding import cosine
 from corefed.errors import ConfigError, FormatError, InvariantError, NumericalError
-from corefed.metrics import evaluation_plan
 from corefed.nn import ModelSpec, local_train
 from corefed.rng import substream
 from corefed.simulation import (
@@ -24,7 +24,6 @@ from corefed.simulation import (
     build_shards,
     initial_params,
     lr_schedule,
-    run_round,
     run_simulation,
     sample_clients,
 )
@@ -97,32 +96,22 @@ class TestRunRound:
     def test_fedavg_single_client_adopts_its_model(self):
         cfg = small_config(algorithm="fedavg", clients=3, online_per_round=1, rounds=1)
         shards = equal_shards(3, 8)
-        state = RunState(round=0, params=initial_params(cfg), ledger=ParticipationLedger(),
-                         seed=cfg.seed)
-        new_state, report = run_round(state, cfg, shards, evaluation_plan(cfg.model, shards))
-        assert len(report.online) == 1
+        ((state, report, _),) = simulation.rounds(cfg, shards)
         (only,) = report.online
         # the new global must equal that client's trained local model
-        from corefed.nn import local_train
-        from corefed.rng import substream
-        expected = local_train(state.params, cfg.model, shards[only - 1], cfg.local_epochs,
+        expected = local_train(initial_params(cfg), cfg.model, shards[only - 1], cfg.local_epochs,
                                cfg.batch_size, lr_schedule(cfg.eta0, cfg.lr_decay, 1),
                                substream(cfg.seed, "shuffle", 1, only))
-        np.testing.assert_allclose(new_state.params, expected, atol=1e-12)
+        np.testing.assert_allclose(state.params, expected, atol=1e-12)
 
     def test_refed_and_corefed_share_alignment_diagnostics(self):
         shards = equal_shards(4, 8)
         for_core = small_config(algorithm="corefed", clients=4, online_per_round=4, rounds=1)
         for_re = dataclasses.replace(for_core, algorithm="refed")
-        state_core = RunState(round=0, params=initial_params(for_core),
-                              ledger=ParticipationLedger(), seed=for_core.seed)
-        state_re = RunState(round=0, params=initial_params(for_re),
-                            ledger=ParticipationLedger(), seed=for_re.seed)
-        plan = evaluation_plan(for_core.model, shards)
-        new_core, report_core = run_round(state_core, for_core, shards, plan)
-        new_re, report_re = run_round(state_re, for_re, shards, plan)
+        ((core, report_core, _),) = simulation.rounds(for_core, shards)
+        ((re, report_re, _),) = simulation.rounds(for_re, shards)
         assert report_core.contrastive_losses == report_re.contrastive_losses
-        assert not np.array_equal(new_core.params, new_re.params)
+        assert not np.array_equal(core.params, re.params)
 
     @pytest.mark.parametrize("algorithm", ["corefed", "cofed"])
     def test_weights_error_is_prefixed_with_the_round(self, monkeypatch, algorithm):
@@ -132,11 +121,8 @@ class TestRunRound:
 
         monkeypatch.setattr(aggregation, "fairness_weights", fail)
         cfg = small_config(algorithm=algorithm, rounds=1)
-        shards = equal_shards(5, 8)
-        state = RunState(round=0, params=initial_params(cfg), ledger=ParticipationLedger(),
-                         seed=cfg.seed)
         with pytest.raises(NumericalError, match=r"^round 1: client 2: weight underflows"):
-            run_round(state, cfg, shards, evaluation_plan(cfg.model, shards))
+            next(simulation.rounds(cfg, equal_shards(5, 8)))
 
     @pytest.mark.parametrize("algorithm", ["corefed", "fedavg"])
     def test_aggregate_that_overflows_stops_the_round(self, monkeypatch, algorithm):
@@ -147,12 +133,9 @@ class TestRunRound:
         monkeypatch.setattr(simulation, "aggregate", overflow)
         monkeypatch.setattr(simulation, "fedavg_aggregate", overflow)
         cfg = small_config(algorithm=algorithm, rounds=1)
-        shards = equal_shards(5, 8)
-        state = RunState(round=0, params=initial_params(cfg), ledger=ParticipationLedger(),
-                         seed=cfg.seed)
         with pytest.raises(NumericalError, match=r"^round 1: aggregated model is not finite: "
                                                  r"the aggregation overflowed$"):
-            run_round(state, cfg, shards, evaluation_plan(cfg.model, shards))
+            next(simulation.rounds(cfg, equal_shards(5, 8)))
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_each_round_takes_each_similarity_once(self, monkeypatch, algorithm):
@@ -297,14 +280,9 @@ class TestEverySampledClientTrains:
     @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
     def test_report_online_is_the_sampled_draw(self, algorithm):
         cfg = small_config(algorithm=algorithm, rounds=4)
-        shards = build_shards(cfg)
-        state = RunState(round=0, params=initial_params(cfg), ledger=ParticipationLedger(),
-                         seed=cfg.seed)
-        plan = evaluation_plan(cfg.model, shards)
-        for _ in range(cfg.rounds):
-            drawn = sample_clients(state, cfg)
-            state, report = run_round(state, cfg, shards, plan)
-            assert report.online == drawn
+        for state, report, _ in simulation.rounds(cfg):
+            before = dataclasses.replace(state, round=report.round - 1)
+            assert report.online == sample_clients(before, cfg)
 
     def test_smallest_accepted_tau_c_gives_finite_contrastive_losses(self):
         (report,) = run_simulation(small_config(tau_c=2e-308, rounds=1)).reports
@@ -374,22 +352,14 @@ class TestRoundMatchesOracle:
             assume(False)
         for algorithm in ALGORITHMS:
             run_cfg = dataclasses.replace(cfg, algorithm=algorithm)
-            assignments = []
-
-            def captured(*args):
-                result = aggregation.assemble_round(*args)
-                assignments.append(result[0])
-                return result
-
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(simulation, "assemble_round", captured)
-                try:
-                    final = run_simulation(run_cfg, shards=shards).final_params
-                except (ConfigError, NumericalError):  # no test row, or a dead layer stops it
-                    assume(False)
-            records, expected = run_oracle(run_cfg, shards)
-            assert len(assignments) == len(records)
-            for got, want in zip(assignments, records):
+            try:
+                records = list(simulation.rounds(run_cfg, shards))
+            except (ConfigError, NumericalError):  # no test row, or a dead layer stops it
+                assume(False)
+            assignments = [assignment for *_, assignment in records if assignment is not None]
+            wanted, expected = run_oracle(run_cfg, shards)
+            assert len(assignments) == len(wanted)
+            for got, want in zip(assignments, wanted):
                 assert sorted(got.weights) == want["members"]
                 assert Fraction(got.window_tau) == want["tau"]
                 # count / tau as a float is the float nearest the fraction: no other
@@ -397,6 +367,7 @@ class TestRoundMatchesOracle:
                 assert {cid: Fraction(f).limit_denominator(want["tau"])
                         for cid, f in got.frequencies.items()} == want["frequencies"]
                 assert all(abs(got.weights[cid] - w) <= 1e-12 for cid, w in want["weights"].items())
+            final = records[-1][0].params
             assert np.linalg.norm(final - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
@@ -412,26 +383,24 @@ class TestCachedGradientsRecompute:
     # checkpoint that keeps those vectors could recompute the cache bit for bit.
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("algorithm", ["corefed", "cofed"])
-    def test_every_cached_gradient_is_its_clients_last_update(self, monkeypatch, algorithm, seed):
+    def test_every_cached_gradient_is_its_clients_last_update(self, algorithm, seed):
         cfg = dataclasses.replace(RECOMPUTE_CONFIG, algorithm=algorithm, seed=seed)
-        trained_from, live = {}, []
-
-        def checked_round(state, config, shards, plan):
-            trained_from[state.round + 1] = state.params
-            state, report = run_round(state, config, shards, plan)
+        shards = build_shards(cfg)
+        trained_from, live, ages = {1: initial_params(cfg)}, [], set()
+        for state, _, _ in simulation.rounds(cfg, shards):
             for cid, cached in state.ledger.last_gradient.items():
                 t = state.ledger.client_rounds[cid][-1]
+                ages.add(state.round - t)
                 eta = lr_schedule(cfg.eta0, cfg.lr_decay, t)
                 local = local_train(trained_from[t], cfg.model, shards[cid - 1], cfg.local_epochs,
                                     cfg.batch_size, eta, substream(cfg.seed, "shuffle", t, cid))
                 assert pseudo_gradient(trained_from[t], local, eta).tobytes() == cached.tobytes(), \
                     f"round {state.round}, client {cid} (last trained in round {t})"
+            trained_from[state.round + 1] = state.params
             live.append(len(state.ledger.last_gradient))
-            return state, report
-
-        monkeypatch.setattr(simulation, "run_round", checked_round)
-        run_simulation(cfg)
         assert len(live) == cfg.rounds and max(live) > cfg.resolved_online(), live
+        # only a record that comes before its round's release holds a gradient this old
+        assert max(ages) == window_bound(cfg.clients, cfg.resolved_online())
 
 
 class TestRoundKernelsCallUfuncsDirectly:
@@ -481,42 +450,62 @@ class TestRunExperiment:
 
     def test_ledger_distinct_count_monotone_and_bounded(self):
         cfg = small_config(rounds=6)
-        shards = build_shards(cfg)
-        state = RunState(round=0, params=initial_params(cfg), ledger=ParticipationLedger(),
-                         seed=cfg.seed)
-        previous = 0
-        plan = evaluation_plan(cfg.model, shards)
-        for _ in range(cfg.rounds):
-            state, _ = run_round(state, cfg, shards, plan)
-            assert previous <= len(state.ledger.client_rounds) <= cfg.clients
-            previous = len(state.ledger.client_rounds)
+        seen = [len(state.ledger.client_rounds) for state, _, _ in simulation.rounds(cfg)]
+        assert seen == sorted(seen) and seen[-1] <= cfg.clients
 
-    def test_checkpoints_written_at_interval(self, tmp_path):
-        cfg = small_config(rounds=4, checkpoint_interval=2)
-        run_simulation(cfg, checkpoint_dir=tmp_path)
-        for t in (2, 4):
-            assert (tmp_path / f"round_{t}" / "global.bin").exists()
-            assert (tmp_path / f"round_{t}" / "ledger.json").exists()
-            assert (tmp_path / f"round_{t}" / "gradients.bin").exists()
-        assert not (tmp_path / "round_1").exists()
 
-    def test_every_checkpoint_of_a_run_loads(self, tmp_path):
-        # Later checkpoints reuse digests kept from earlier ones; each must still verify.
-        from corefed.checkpoint import load_ledger
-        cfg = small_config(algorithm="corefed", rounds=6, checkpoint_interval=1)
-        run_simulation(cfg, checkpoint_dir=tmp_path)
-        for t in range(1, cfg.rounds + 1):
-            round_dir = tmp_path / f"round_{t}"
+class TestRoundRecords:
+    # simulation.rounds owns the loop: run_simulation and every observer read its records.
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_records_carry_the_runs_reports(self, algorithm):
+        cfg = small_config(algorithm=algorithm, rounds=4)
+        records, result = list(simulation.rounds(cfg)), run_simulation(cfg)
+        assert [state.round for state, _, _ in records] == list(range(1, cfg.rounds + 1))
+        assert [report for _, report, _ in records] == result.reports
+        assert records[-1][0].params.tobytes() == result.final_params.tobytes()
+
+    def test_a_due_checkpoint_is_complete_when_its_record_arrives(self, tmp_path):
+        # round_6 copies the records of gradients released after round_4 was saved
+        cfg = small_config(algorithm="corefed", rounds=6, checkpoint_interval=2)
+        for state, _, _ in simulation.rounds(cfg, checkpoint_dir=tmp_path):
+            due = [f"round_{t}" for t in range(2, state.round + 1, 2)]
+            assert sorted(path.name for path in tmp_path.iterdir()) == due
+            if state.round % 2:
+                continue
+            round_dir = tmp_path / due[-1]
+            assert read_vector(round_dir / "global.bin").tobytes() == state.params.tobytes()
             ledger = load_ledger(round_dir / "ledger.json", round_dir / "gradients.bin")
-            assert sorted(set().union(*ledger.client_rounds.values())) == list(range(1, t + 1))
+            assert ledger.client_rounds == state.ledger.client_rounds
             assert ledger.last_gradient.keys() == ledger.client_rounds.keys()
+            assert all(ledger.last_gradient[cid].tobytes() == cached.tobytes()
+                       for cid, cached in state.ledger.last_gradient.items())
 
-    def test_checkpoint_global_matches_state(self, tmp_path):
-        from corefed.checkpoint import read_vector
-        cfg = small_config(rounds=2, checkpoint_interval=2)
-        result = run_simulation(cfg, checkpoint_dir=tmp_path)
-        stored = read_vector(tmp_path / "round_2" / "global.bin")
-        np.testing.assert_array_equal(stored, result.final_params)
+    def test_only_the_fair_path_assigns_weights(self):
+        for algorithm in ALGORITHMS:
+            for _, report, assignment in simulation.rounds(small_config(algorithm=algorithm)):
+                assert (assignment is None) == (algorithm in ("refed", "fedavg"))
+                assert assignment is None or report.online <= assignment.weights.keys()
+
+    def test_a_bad_injected_shard_stops_the_first_record(self, monkeypatch):
+        cfg = small_config(clients=3, online_per_round=3, rounds=2)
+        trained = []
+        monkeypatch.setattr(simulation, "local_train", lambda *args: trained.append(args))
+        records = simulation.rounds(cfg, equal_shards(2, 8))
+        with pytest.raises(ConfigError, match=r"^injected shards need client ids 1\.\.3 once each: "
+                                              r"client 3 is missing$"):
+            next(records)
+        assert trained == []
+
+    def test_only_rounds_runs_a_round(self):
+        # each top-level statement under src/corefed that names run_round: called, bound or imported
+        users = set()
+        for module in Path(simulation.__file__).parent.glob("*.py"):
+            for top in ast.parse(module.read_text(encoding="utf-8")).body:
+                if any("run_round" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                       node.name if isinstance(node, ast.alias) else None)
+                       for node in ast.walk(top)):
+                    users.add((module.name, getattr(top, "name", "<module>")))
+        assert users == {("simulation.py", "rounds")}
 
 
 class TestDeadLastLayer:
